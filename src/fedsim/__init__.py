@@ -14,7 +14,6 @@ from .federation import (
     ALGORITHMS,
     FederationConfig,
     RunResult,
-    fine_tune,
     fuse_fedavg,
     fuse_fednova,
     run_federation,
@@ -32,11 +31,9 @@ from .model import (
     LocalTrainSpec,
     ModelSpec,
     OptState,
-    client_update,
     evaluate,
     forward_loss_grad,
     init_params,
-    sgd_step,
 )
 from .partition import ClientPartition, PartitionSpec, make_partitions
 
@@ -64,12 +61,10 @@ __all__ = [
     "SyntheticSpec",
     "allocate_local_test",
     "axpy",
-    "client_update",
     "compute_report",
     "dirichlet_sample",
     "evaluate",
     "fairness_metric",
-    "fine_tune",
     "forward_loss_grad",
     "fuse_fedavg",
     "fuse_fednova",
@@ -83,6 +78,5 @@ __all__ = [
     "pfl_metric",
     "run_federation",
     "sample_clients",
-    "sgd_step",
     "weighted_mean",
 ]

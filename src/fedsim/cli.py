@@ -31,7 +31,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="path to a key = value config file")
     p.add_argument("--seed", type=int, help="override the base seed")
     p.add_argument("--runs", type=int, help="override the independent-run count")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker count")
     p.add_argument("--out", help="output directory")
     p.add_argument("--mnist-dir", help="directory with the four standard MNIST files")
     p.add_argument(
@@ -154,6 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a sweep grid")
     _add_common_flags(p)
+    p.add_argument("--workers", type=int, default=1, help="threads for sweep cells")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate CSVs and classify the incentive boundary")

@@ -31,7 +31,7 @@ from .federation import (
     run_federation,
 )
 from .metrics import MetricReport, compute_report, newcomer_protocol
-from .model import LocalTrainSpec, ModelSpec
+from .model import LocalTrainSpec, ModelSpec, OptState
 from .partition import PartitionSpec, attach_local_tests, make_partitions
 
 RECOMMENDED_C_LOW = 0.1
@@ -190,14 +190,16 @@ class ExperimentConfig:
             raise ConfigError("dataset = mnist requires mnist_dir")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}")
         if self.n_clients > self.max_clients:
             raise ConfigError(
                 f"{self.n_clients} clients exceeds the desk-scale cap of "
                 f"{self.max_clients}; raise max_clients to override"
             )
-        self.partition_spec()  # validates kind/parameter pairing
+        # the run builds these same objects; building them here surfaces
+        # their range checks at config time rather than as error rows
+        self.partition_spec()
+        self.federation_config(self.seed)
+        OptState(self.lr, self.momentum)
 
     def partition_spec(self, n_clients: int | None = None) -> PartitionSpec:
         kind = self.partition_kind
@@ -509,7 +511,7 @@ CSV_COLUMNS = (
 )
 
 
-def run_single(cfg: ExperimentConfig, seed: int, workers: int = 1):
+def run_single(cfg: ExperimentConfig, seed: int):
     """One full pipeline pass: data, partition, federate, measure."""
     root = Rng(seed)
     if cfg.dataset == "synthetic":
@@ -520,10 +522,10 @@ def run_single(cfg: ExperimentConfig, seed: int, workers: int = 1):
     partitions = make_partitions(train, cfg.partition_spec(), root.substream("partition"))
     partitions = attach_local_tests(partitions, test)
     fed = cfg.federation_config(seed)
-    result = run_federation(fed, model_spec, partitions, train, test, workers=workers)
+    result = run_federation(fed, model_spec, partitions, train, test)
     report = compute_report(result, fed, model_spec, partitions, test, cfg.digest())
     if cfg.newcomer:
-        nc = newcomer_protocol(fed, model_spec, partitions, train, test, workers=workers)
+        nc = newcomer_protocol(fed, model_spec, partitions, train, test)
         report = dataclasses.replace(report, newcomer_accuracy=nc.accuracy)
     return report, result, partitions, model_spec, (train, test)
 

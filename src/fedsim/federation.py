@@ -5,9 +5,8 @@ Global algorithms: fedavg, fedprox (proximal local objective), fednova
 fedavg_ft (post-hoc fine-tuning), decoupled (local classifier head),
 clustered (lowest-loss cluster assignment), solo (no federation).
 
-Within a round, client updates are independent tasks; fusion always
-consumes them in client-id order, so results are bit-identical for any
-worker count.
+Within a round, clients train one after another in client-id order,
+each on its own random substream, and fusion consumes them in that order.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,8 +26,8 @@ from .model import (
     ModelSpec,
     OptState,
     _local_train,
-    _loss_grad_arrays,
     evaluate,
+    forward_loss_grad,
     init_params,
 )
 from .partition import ClientPartition
@@ -235,25 +233,12 @@ class _ClientData:
         self.sizes = [p.n_train for p in partitions]
 
 
-def _run_clients(jobs, workers: int):
-    """Execute (client_id, fn) jobs, return {client_id: fn()} deterministically."""
-    if workers <= 1:
-        return {cid: fn() for cid, fn in jobs}
-    out = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {cid: pool.submit(fn) for cid, fn in jobs}
-        for cid, fut in futures.items():
-            out[cid] = fut.result()
-    return out
-
-
 def run_federation(
     config: FederationConfig,
     model_spec: ModelSpec,
     partitions: list[ClientPartition],
     train: Dataset,
     test: Dataset,
-    workers: int = 1,
 ) -> RunResult:
     """Execute T communication rounds of the configured algorithm."""
     if len(partitions) != config.n_clients:
@@ -262,19 +247,18 @@ def run_federation(
         )
     data = _ClientData(train, partitions)
     root = Rng(config.seed)
-    opt = OptState.initial(config.lr, config.momentum, model_spec)
+    opt = OptState(config.lr, config.momentum)
     if config.algorithm == "solo":
-        return _run_solo(config, model_spec, data, test, root, opt, workers)
+        return _run_solo(config, model_spec, data, test, root, opt)
     if config.algorithm == "clustered":
-        return _run_clustered(config, model_spec, data, test, root, opt, workers)
-    return _run_global_family(config, model_spec, data, test, root, opt, workers)
+        return _run_clustered(config, model_spec, data, test, root, opt)
+    return _run_global_family(config, model_spec, data, test, root, opt)
 
 
-def _train_job(model_spec, start, x, y, train_spec, opt, rng, offset=None):
-    def job():
-        return _local_train(model_spec, start, x, y, train_spec, opt, rng, offset)
-
-    return job
+def _with_head(global_p: ParamVector, head: np.ndarray, boundary: int) -> ParamVector:
+    vals = global_p.values.copy()
+    vals[boundary:] = head
+    return ParamVector(vals, global_p.layout)
 
 
 def _stats_tuple(selected, results, sizes) -> tuple[ClientRoundStat, ...]:
@@ -284,7 +268,7 @@ def _stats_tuple(selected, results, sizes) -> tuple[ClientRoundStat, ...]:
     )
 
 
-def _run_global_family(config, model_spec, data, test, root, opt, workers) -> RunResult:
+def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
     algo = config.algorithm
     global_p = init_params(model_spec, root.substream("init", 0))
     layout = global_p.layout
@@ -309,21 +293,19 @@ def _run_global_family(config, model_spec, data, test, root, opt, workers) -> Ru
         selected = sample_clients(
             root.substream("sample", t), config.n_clients, config.sample_rate
         )
-        jobs = []
-        for k in selected:
-            if decoupled:
-                vals = global_p.values.copy()
-                vals[boundary:] = heads[k]
-                start = ParamVector(vals, layout)
-            else:
-                start = global_p
-            offset = scaffold.server - scaffold.clients[k] if scaffold else None
-            rng_k = root.substream("client", k, t)
-            jobs.append(
-                (k, _train_job(model_spec, start, data.features[k], data.labels[k],
-                               train_spec, opt, rng_k, offset))
+        results = {
+            k: _local_train(
+                model_spec,
+                _with_head(global_p, heads[k], boundary) if decoupled else global_p,
+                data.features[k],
+                data.labels[k],
+                train_spec,
+                opt,
+                root.substream("client", k, t),
+                scaffold.server - scaffold.clients[k] if scaffold else None,
             )
-        results = _run_clients(jobs, workers)
+            for k in selected
+        }
 
         if algo == "fednova":
             updates = [
@@ -369,14 +351,10 @@ def _run_global_family(config, model_spec, data, test, root, opt, workers) -> Ru
     personal: dict[int, ParamVector] = {}
     if algo == "fedavg_ft":
         personal = _fine_tune_data(
-            global_p, model_spec, data, config.ft_epochs, config.local.batch_size,
-            opt, root, workers,
+            global_p, model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
         )
     elif decoupled:
-        for k in range(config.n_clients):
-            vals = global_p.values.copy()
-            vals[boundary:] = heads[k]
-            personal[k] = ParamVector(vals, layout)
+        personal = {k: _with_head(global_p, heads[k], boundary) for k in range(config.n_clients)}
     return RunResult(logs, global_p, personal)
 
 
@@ -388,33 +366,6 @@ def _fine_tune_data(
     batch_size: int,
     opt: OptState,
     root: Rng,
-    workers: int = 1,
-) -> dict[int, ParamVector]:
-    spec = LocalTrainSpec(epochs=ft_epochs, batch_size=batch_size)
-    jobs = [
-        (
-            k,
-            _train_job(
-                model_spec, global_params, data.features[k], data.labels[k],
-                spec, opt, root.substream("ft", k),
-            ),
-        )
-        for k in range(len(data.sizes))
-    ]
-    results = _run_clients(jobs, workers)
-    return {k: results[k][0] for k in results}
-
-
-def fine_tune(
-    global_params: ParamVector,
-    model_spec: ModelSpec,
-    partitions: list[ClientPartition],
-    train: Dataset,
-    ft_epochs: int,
-    batch_size: int,
-    opt: OptState,
-    root: Rng,
-    workers: int = 1,
 ) -> dict[int, ParamVector]:
     """Every client (all N) locally fine-tunes the global model.
 
@@ -422,14 +373,18 @@ def fine_tune(
     returns the per-client personal models. ft_epochs=0 returns
     identical copies of the global model.
     """
-    return _fine_tune_data(
-        global_params, model_spec, _ClientData(train, partitions),
-        ft_epochs, batch_size, opt, root, workers,
-    )
+    spec = LocalTrainSpec(epochs=ft_epochs, batch_size=batch_size)
+    return {
+        k: _local_train(
+            model_spec, global_params, data.features[k], data.labels[k],
+            spec, opt, root.substream("ft", k),
+        )[0]
+        for k in range(len(data.sizes))
+    }
 
 
 def _mean_loss(model_spec, values, x, y) -> float:
-    loss, _ = _loss_grad_arrays(model_spec, values, x, y, None, 0.0)
+    loss, _ = forward_loss_grad(model_spec, values, x, y)
     return loss
 
 
@@ -439,7 +394,7 @@ def assign_cluster(model_spec, clusters, x, y) -> int:
     return int(np.argmin(losses))
 
 
-def _run_clustered(config, model_spec, data, test, root, opt, workers) -> RunResult:
+def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
     clusters = [
         init_params(model_spec, root.substream("init", j)) for j in range(config.n_clusters)
     ]
@@ -453,17 +408,13 @@ def _run_clustered(config, model_spec, data, test, root, opt, workers) -> RunRes
             k: assign_cluster(model_spec, clusters, data.features[k], data.labels[k])
             for k in selected
         }
-        jobs = [
-            (
-                k,
-                _train_job(
-                    model_spec, clusters[assignment[k]], data.features[k], data.labels[k],
-                    config.local, opt, root.substream("client", k, t),
-                ),
+        results = {
+            k: _local_train(
+                model_spec, clusters[assignment[k]], data.features[k], data.labels[k],
+                config.local, opt, root.substream("client", k, t),
             )
             for k in selected
-        ]
-        results = _run_clients(jobs, workers)
+        }
         for j in range(config.n_clusters):
             members = [k for k in selected if assignment[k] == j]
             if members:
@@ -482,10 +433,10 @@ def _run_clustered(config, model_spec, data, test, root, opt, workers) -> RunRes
     return RunResult(logs, clusters[best], personal, final_clusters=list(clusters))
 
 
-def _run_solo(config, model_spec, data, test, root, opt, workers) -> RunResult:
+def _run_solo(config, model_spec, data, test, root, opt) -> RunResult:
     """Local-only training: T rounds of E epochs per client, no fusion.
 
-    Each client's job sees only its own partition. The per-round
+    Each client sees only its own partition. The per-round
     "global" accuracy is the mean of client accuracies on the server
     test set (there is no shared model).
     """
@@ -494,17 +445,13 @@ def _run_solo(config, model_spec, data, test, root, opt, workers) -> RunResult:
     test_idx = np.arange(test.n_samples)
     logs: list[RoundLog] = []
     for t in range(config.rounds):
-        jobs = [
-            (
-                k,
-                _train_job(
-                    model_spec, models[k], data.features[k], data.labels[k],
-                    config.local, opt, root.substream("client", k, t),
-                ),
+        results = {
+            k: _local_train(
+                model_spec, models[k], data.features[k], data.labels[k],
+                config.local, opt, root.substream("client", k, t),
             )
             for k in range(config.n_clients)
-        ]
-        results = _run_clients(jobs, workers)
+        }
         models = {k: results[k][0] for k in results}
         accs = [evaluate(model_spec, models[k], test, test_idx) for k in sorted(models)]
         selected = tuple(range(config.n_clients))

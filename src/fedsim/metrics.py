@@ -159,7 +159,6 @@ def newcomer_protocol(
     train: Dataset,
     test: Dataset,
     ft_epochs: int | None = None,
-    workers: int = 1,
 ) -> NewcomerResult:
     """Reserve 20% of clients, train on the rest, adapt the newcomers.
 
@@ -179,11 +178,11 @@ def newcomer_protocol(
         for i, p in enumerate(p for p in partitions if p.client_id not in holdout)
     ]
     trainer_config = dataclasses.replace(config, n_clients=len(trainer_parts))
-    result = run_federation(trainer_config, model_spec, trainer_parts, train, test, workers)
+    result = run_federation(trainer_config, model_spec, trainer_parts, train, test)
 
     epochs = config.ft_epochs if ft_epochs is None else ft_epochs
     local = LocalTrainSpec(epochs=epochs, batch_size=config.local.batch_size)
-    opt = OptState.initial(config.lr, config.momentum, model_spec)
+    opt = OptState(config.lr, config.momentum)
     root = Rng(config.seed)
     per_newcomer = {}
     by_id = {p.client_id: p for p in partitions}

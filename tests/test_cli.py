@@ -4,6 +4,8 @@ import struct
 import pytest
 
 from fedsim.cli import main
+from fedsim.errors import ConfigError
+from fedsim.experiment import config_from_entries
 
 
 def write_idx_dir(root, n_train=60, n_test=20, side=4, n_classes=3, seed=5):
@@ -169,3 +171,30 @@ class TestExitCodes:
 
     def test_missing_report_csv_is_3(self, tmp_path):
         assert main(["report", str(tmp_path / "missing.csv")]) == 3
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("train.lr", "0"),
+            ("train.momentum", "1.5"),
+            ("train.batch_size", "0"),
+            ("train.epochs", "-1"),
+            ("federation.rounds", "0"),
+            ("federation.sample_rate", "0"),
+            ("algo.n_clusters", "0"),
+        ],
+    )
+    def test_out_of_range_value_is_config_error(self, key, value, tmp_path, monkeypatch):
+        with pytest.raises(ConfigError):
+            config_from_entries({"preset": "gfl2", key: value})
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + f"{key} = {value}\n")
+        assert main(["run", str(cfg)]) == 2
+        assert not (tmp_path / "run-out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "partition"])
+    def test_workers_flag_only_on_sweep(self, command, cfg_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(cfg_path), "--workers", "2"])
+        assert exc.value.code == 2

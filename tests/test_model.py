@@ -3,17 +3,16 @@ import pytest
 
 from conftest import balanced_dataset
 from fedsim.core import ParamVector, Rng
-from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
+from fedsim.errors import InvalidArgument, NumericError
 from fedsim.model import (
     LocalTrainSpec,
     ModelSpec,
     OptState,
-    client_update,
+    _local_train,
     evaluate,
     forward_loss_grad,
     init_params,
     local_steps,
-    sgd_step,
 )
 
 LOGREG = ModelSpec("logreg", n_features=4, n_classes=3)
@@ -26,19 +25,24 @@ def random_batch(rng: Rng, n: int, spec: ModelSpec):
     return x, y
 
 
-def finite_difference_grad(spec, params, batch, anchor, prox_mu, h=1e-5):
+def finite_difference_grad(spec, theta, batch, anchor, prox_mu, h=1e-5):
     """Central differences around every coordinate; the independent oracle."""
-    base = params.values
-    grad = np.zeros_like(base)
-    for i in range(len(base)):
-        plus = base.copy()
+    grad = np.zeros_like(theta)
+    for i in range(len(theta)):
+        plus = theta.copy()
         plus[i] += h
-        minus = base.copy()
+        minus = theta.copy()
         minus[i] -= h
-        lp, _ = forward_loss_grad(spec, params.with_values(plus), batch, anchor, prox_mu)
-        lm, _ = forward_loss_grad(spec, params.with_values(minus), batch, anchor, prox_mu)
+        lp, _ = forward_loss_grad(spec, plus, *batch, anchor, prox_mu)
+        lm, _ = forward_loss_grad(spec, minus, *batch, anchor, prox_mu)
         grad[i] = (lp - lm) / (2 * h)
     return grad
+
+
+def train(spec, params, batch, local, opt, rng, grad_offset=None):
+    """Parameters after one client's local training through the kernel."""
+    out, _ = _local_train(spec, params, *batch, local, opt, rng, grad_offset)
+    return out
 
 
 class TestInit:
@@ -74,30 +78,30 @@ class TestInit:
 class TestForwardLossGrad:
     def test_zero_params_uniform_softmax(self):
         x, y = random_batch(Rng(5), 16, LOGREG)
-        zero = init_params(ModelSpec("logreg", 4, 3, init_scale=0.0), Rng(1))
-        loss, grad = forward_loss_grad(LOGREG, zero, (x, y))
+        zero = np.zeros(LOGREG.n_params())
+        loss, grad = forward_loss_grad(LOGREG, zero, x, y)
         assert loss == pytest.approx(np.log(3), abs=1e-12)
         # with uniform softmax, bias gradient for class c is mean(1/3 - onehot_c)
         onehot = np.zeros((16, 3))
         onehot[np.arange(16), y] = 1.0
         expected_gb = (1.0 / 3.0 - onehot).mean(axis=0)
-        assert np.allclose(grad.segment("b"), expected_gb, atol=1e-12)
+        assert np.allclose(grad[12:], expected_gb, atol=1e-12)
 
     def test_prox_zero_at_anchor(self):
         x, y = random_batch(Rng(6), 8, LOGREG)
-        params = init_params(LOGREG, Rng(7))
-        plain_loss, plain_grad = forward_loss_grad(LOGREG, params, (x, y))
-        prox_loss, prox_grad = forward_loss_grad(LOGREG, params, (x, y), anchor=params, prox_mu=0.5)
+        theta = init_params(LOGREG, Rng(7)).values
+        plain_loss, plain_grad = forward_loss_grad(LOGREG, theta, x, y)
+        prox_loss, prox_grad = forward_loss_grad(LOGREG, theta, x, y, anchor=theta, prox_mu=0.5)
         assert prox_loss == pytest.approx(plain_loss, abs=1e-15)
-        assert np.allclose(prox_grad.values, plain_grad.values, atol=1e-15)
+        assert np.allclose(prox_grad, plain_grad, atol=1e-15)
 
     def test_anchor_required_iff_prox(self):
         x, y = random_batch(Rng(6), 4, LOGREG)
-        params = init_params(LOGREG, Rng(7))
+        theta = init_params(LOGREG, Rng(7)).values
         with pytest.raises(InvalidArgument):
-            forward_loss_grad(LOGREG, params, (x, y), anchor=None, prox_mu=0.1)
+            forward_loss_grad(LOGREG, theta, x, y, anchor=None, prox_mu=0.1)
         with pytest.raises(InvalidArgument):
-            forward_loss_grad(LOGREG, params, (x, y), anchor=params, prox_mu=0.0)
+            forward_loss_grad(LOGREG, theta, x, y, anchor=theta, prox_mu=0.0)
 
     def test_gradient_matches_finite_differences(self):
         # 50 random (model, batch, prox) instances vs the central
@@ -105,22 +109,22 @@ class TestForwardLossGrad:
         meta = Rng(8)
         for trial in range(50):
             spec = LOGREG if trial % 2 == 0 else MLP
-            params = init_params(
+            theta = init_params(
                 ModelSpec(spec.kind, 4, 3, hidden=spec.hidden, init_scale=0.5),
                 Rng(100 + trial),
-            )
+            ).values
             batch = random_batch(meta, 2 + meta.randbelow(6), spec)
             if trial % 3 == 0:
                 anchor = init_params(
                     ModelSpec(spec.kind, 4, 3, hidden=spec.hidden, init_scale=0.5),
                     Rng(200 + trial),
-                )
+                ).values
                 prox = 0.2
             else:
                 anchor, prox = None, 0.0
-            _, grad = forward_loss_grad(spec, params, batch, anchor, prox)
-            fd = finite_difference_grad(spec, params, batch, anchor, prox)
-            rel = np.linalg.norm(grad.values - fd) / max(np.linalg.norm(fd), 1e-12)
+            _, grad = forward_loss_grad(spec, theta, *batch, anchor, prox)
+            fd = finite_difference_grad(spec, theta, batch, anchor, prox)
+            rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel <= 1e-5, f"trial {trial}: rel err {rel}"
 
     def test_softmax_probabilities_normalized(self):
@@ -134,48 +138,48 @@ class TestForwardLossGrad:
     def test_numeric_error_names_segment(self):
         x, y = random_batch(Rng(11), 4, LOGREG)
         # large enough that the matmul overflows to inf in the forward pass
-        huge = init_params(LOGREG, Rng(12)).with_values(np.full(15, 1e308))
+        huge = np.full(15, 1e308)
         with pytest.raises(NumericError, match="segment"):
-            forward_loss_grad(LOGREG, huge, (x, y))
+            forward_loss_grad(LOGREG, huge, x, y)
 
     def test_empty_batch_rejected(self):
-        params = init_params(LOGREG, Rng(13))
+        theta = init_params(LOGREG, Rng(13)).values
         with pytest.raises(InvalidArgument):
-            forward_loss_grad(LOGREG, params, (np.zeros((0, 4)), np.zeros(0, dtype=int)))
+            forward_loss_grad(LOGREG, theta, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
 
 class TestSgdStep:
+    """Single SGD steps of the local-training kernel."""
+
     def test_plain_sgd_without_momentum(self):
         params = init_params(LOGREG, Rng(14))
         x, y = random_batch(Rng(15), 8, LOGREG)
-        _, grad = forward_loss_grad(LOGREG, params, (x, y))
-        opt = OptState.initial(0.1, 0.0, LOGREG)
-        new, _ = sgd_step(params, grad, opt)
-        assert np.allclose(new.values, params.values - 0.1 * grad.values, atol=1e-15)
+        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
+        # one full-batch epoch is one step on a reshuffled copy of the batch
+        new = train(LOGREG, params, (x, y), LocalTrainSpec(1, 8), OptState(0.1, 0.0), Rng(1))
+        assert np.allclose(new.values, params.values - 0.1 * grad, atol=1e-15)
 
     def test_zero_grad_zero_velocity_no_move(self):
+        # a one-sample batch has no reshuffle, so an offset of minus its
+        # gradient cancels it exactly; velocity starts at zero
         params = init_params(LOGREG, Rng(16))
-        zero_grad = params.zeros_like()
-        opt = OptState.initial(0.1, 0.9, LOGREG)
-        new, _ = sgd_step(params, zero_grad, opt)
+        x, y = random_batch(Rng(15), 1, LOGREG)
+        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
+        new = train(LOGREG, params, (x, y), LocalTrainSpec(1, 1), OptState(0.1, 0.9), Rng(1), -grad)
         assert new == params
 
     def test_two_momentum_steps_hand_unrolled(self):
-        # v1 = g, p1 = p0 - eta*g; v2 = 0.9 g + g; total displacement
-        # eta * g * (1 + 1.9).
+        # E=2 full-batch epochs: v1 = g0, p1 = p0 - eta*v1;
+        # v2 = 0.9*v1 + g1, p2 = p1 - eta*v2.
         params = init_params(LOGREG, Rng(17))
-        g = params.with_values(np.full(15, 0.5))
-        opt = OptState.initial(0.01, 0.9, LOGREG)
-        p1, opt1 = sgd_step(params, g, opt)
-        p2, _ = sgd_step(p1, g, opt1)
-        expected = params.values - 0.01 * 0.5 * (1.0 + 1.9)
-        assert np.allclose(p2.values, expected, atol=1e-15)
-
-    def test_layout_mismatch(self):
-        params = init_params(LOGREG, Rng(18))
-        other = init_params(MLP, Rng(18))
-        with pytest.raises(IncompatibleShape):
-            sgd_step(params, other, OptState.initial(0.1, 0.0, LOGREG))
+        x, y = random_batch(Rng(18), 12, LOGREG)
+        eta, beta = 0.05, 0.9
+        _, g0 = forward_loss_grad(LOGREG, params.values, x, y)
+        p1 = params.values - eta * g0
+        _, g1 = forward_loss_grad(LOGREG, p1, x, y)
+        expected = p1 - eta * (beta * g0 + g1)
+        out = train(LOGREG, params, (x, y), LocalTrainSpec(2, 12), OptState(eta, beta), Rng(2))
+        assert np.allclose(out.values, expected, atol=1e-14)
 
     def test_loss_descent_small_step(self):
         # One eta=1e-3 full-batch step must not increase the loss.
@@ -186,72 +190,51 @@ class TestSgdStep:
                 ModelSpec(spec.kind, 4, 3, hidden=spec.hidden, init_scale=0.3),
                 Rng(300 + trial),
             )
-            batch = random_batch(meta, 16, spec)
-            loss0, grad = forward_loss_grad(spec, params, batch)
-            opt = OptState.initial(1e-3, 0.0, spec)
-            new, _ = sgd_step(params, grad, opt)
-            loss1, _ = forward_loss_grad(spec, new, batch)
+            x, y = random_batch(meta, 16, spec)
+            loss0, _ = forward_loss_grad(spec, params.values, x, y)
+            new = train(spec, params, (x, y), LocalTrainSpec(1, 16), OptState(1e-3, 0.0), Rng(trial))
+            loss1, _ = forward_loss_grad(spec, new.values, x, y)
             assert loss1 <= loss0 + 1e-12
 
 
 class TestClientUpdate:
+    """A client's full local update through the local-training kernel."""
+
     def _data(self, n=20, spec=LOGREG, seed=21):
         return random_batch(Rng(seed), n, spec)
 
     def test_zero_epochs_identity(self):
         params = init_params(LOGREG, Rng(20))
-        out = client_update(
-            LOGREG, params, self._data(), LocalTrainSpec(0, 4), OptState.initial(0.1, 0.9, LOGREG), Rng(1)
+        out, stats = _local_train(
+            LOGREG, params, *self._data(), LocalTrainSpec(0, 4), OptState(0.1, 0.9), Rng(1)
         )
         assert out == params
+        assert (stats.steps, stats.mean_loss) == (0, 0.0)
 
     def test_single_full_batch_epoch_equals_one_step(self):
         x, y = self._data()
         params = init_params(LOGREG, Rng(22))
-        opt = OptState.initial(0.05, 0.0, LOGREG)
-        out = client_update(LOGREG, params, (x, y), LocalTrainSpec(1, 50), opt, Rng(2))
-        _, grad = forward_loss_grad(LOGREG, params, (x, y))
-        expected, _ = sgd_step(params, grad, opt)
-        assert np.allclose(out.values, expected.values, atol=1e-15)
+        out = train(LOGREG, params, (x, y), LocalTrainSpec(1, 50), OptState(0.05, 0.0), Rng(2))
+        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
+        assert np.allclose(out.values, params.values - 0.05 * grad, atol=1e-15)
 
     def test_deterministic_rerun(self):
         x, y = self._data()
         params = init_params(LOGREG, Rng(23))
-        opt = OptState.initial(0.05, 0.9, LOGREG)
-        a = client_update(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
-        b = client_update(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
+        opt = OptState(0.05, 0.9)
+        a = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
+        b = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         assert a == b
 
     def test_short_remainder_batch_kept(self):
         x, y = self._data(n=10)
         assert local_steps(10, LocalTrainSpec(1, 4)) == 3  # 4 + 4 + 2
         params = init_params(LOGREG, Rng(24))
-        opt = OptState.initial(0.05, 0.0, LOGREG)
-        out = client_update(LOGREG, params, (x, y), LocalTrainSpec(1, 4), opt, Rng(3))
+        out, stats = _local_train(
+            LOGREG, params, x, y, LocalTrainSpec(1, 4), OptState(0.05, 0.0), Rng(3)
+        )
+        assert stats.steps == 3
         assert not np.array_equal(out.values, params.values)
-
-    def test_local_only_mask_keeps_global_segments(self):
-        spec = ModelSpec("mlp", 4, 3, hidden=5, layer_split=2)
-        params = init_params(spec, Rng(25))
-        x, y = self._data(spec=spec)
-        opt = OptState.initial(0.05, 0.9, spec)
-        out = client_update(
-            spec, params, (x, y), LocalTrainSpec(3, 4, mask="local-only"), opt, Rng(4)
-        )
-        boundary = spec.local_boundary()
-        assert np.array_equal(out.values[:boundary], params.values[:boundary])
-        assert not np.array_equal(out.values[boundary:], params.values[boundary:])
-
-    def test_global_only_mask_keeps_local_segments(self):
-        spec = ModelSpec("mlp", 4, 3, hidden=5, layer_split=1)
-        params = init_params(spec, Rng(26))
-        x, y = self._data(spec=spec)
-        opt = OptState.initial(0.05, 0.9, spec)
-        out = client_update(
-            spec, params, (x, y), LocalTrainSpec(3, 4, mask="global-only"), opt, Rng(5)
-        )
-        boundary = spec.local_boundary()
-        assert np.array_equal(out.values[boundary:], params.values[boundary:])
 
 
 class TestEvaluate:
