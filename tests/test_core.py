@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -85,6 +86,89 @@ class TestRng:
     def test_gamma_rejects_bad_alpha(self):
         with pytest.raises(InvalidArgument):
             Rng(1).gamma(0.0)
+
+
+def _stream_digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        h.update(np.asarray(p).tobytes())
+    return h.hexdigest()[:32]
+
+
+class TestRngStreamGolden:
+    """Pinned outputs of the integer draws on the raw stream.
+
+    Every digest also covers the `uniform(8)` drawn right after the call,
+    so it pins how many raw words the call consumed, not just its result.
+    Any change to how permutations and samples read the stream must keep
+    these values; a deliberate change of stream re-pins them on purpose.
+    """
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (0, "2a82782b3736662fa57ab76120e9df06"),
+            (1, "42465d8dd1d543416d657aae85620fc5"),
+            (2, "14737234944c1abba2f84c6e231dcfcd"),
+            (7, "2dba0a29d395be46d3f965dbcbc0b4f6"),
+            (100, "117f6b11f76bf1bc1e22eafea5b48e49"),
+            (1023, "ab6d88d1eb09886f40fda8e87e13fbac"),
+            (1024, "cb23a09a663f71bef73b9be3f996a660"),
+            (1025, "b77daff7bafccb2d6b9f263b42c50be4"),
+            (5000, "63604b8e5df9b726a3b2d56af084e75c"),
+        ],
+    )
+    def test_permutation(self, n, expected):
+        r = Rng(2024, n)
+        assert _stream_digest(r.permutation(n).astype(np.int64), r.uniform(8)) == expected
+
+    @pytest.mark.parametrize(
+        "n, k, expected",
+        [
+            (10, 4, "ca81020164d9a975734313be80009e12"),
+            (100, 100, "9e13d6d852e97e485165a6ecb1777964"),
+            (1, 1, "7f90e5e05ca874e35e80de449403886f"),
+            (5, 0, "5dab8ce52f957fb080e11ac1c838db7d"),
+            (3000, 1500, "0be7431ae8549c1b254c5abf900086c2"),
+        ],
+    )
+    def test_sample_without_replacement(self, n, k, expected):
+        r = Rng(2024, 7)
+        got = r.sample_without_replacement(n, k).astype(np.int64)
+        assert _stream_digest(got, r.uniform(8)) == expected
+
+    def test_randbelow_sequence(self):
+        r = Rng(31)
+        seq = [r.randbelow(m) for m in (1, 2, 3, 5, 8, 100, 1000, 2**40 + 3) * 40]
+        got = _stream_digest(np.array(seq, dtype=np.int64), r.uniform(8))
+        assert got == "dcf65a16d40170e72453aa416c6de300"
+
+    @pytest.mark.parametrize(
+        "skip, n, expected",
+        [
+            # the draws for these permutations start a few words before the
+            # end of a 1024-word buffer block, so they run across a refill
+            (1000, 200, "d92e8bac770665ebb7e81709174402e0"),
+            (1020, 5000, "d11227a6d16b45fba6b2d2d1ad5cf20c"),
+            (1023, 2, "1b5ff7aad31d1ab2b541c56d6a79034b"),
+        ],
+    )
+    def test_permutation_across_buffer_refill(self, skip, n, expected):
+        r = Rng(9)
+        r.uniform(skip)
+        assert _stream_digest(r.permutation(n).astype(np.int64), r.uniform(8)) == expected
+
+    def test_interleaved_calls(self):
+        r = Rng(13)
+        parts = [
+            r.permutation(50),
+            r.sample_without_replacement(40, 12),
+            [r.randbelow(17)],
+            r.permutation(1500),
+            r.sample_without_replacement(2000, 600),
+        ]
+        got = _stream_digest(*[np.asarray(p, dtype=np.int64) for p in parts], r.uniform(8))
+        assert got == "7c902df00a31513b241f14cc1d38f7dc"
 
 
 class TestDirichlet:
