@@ -104,23 +104,53 @@ class Rng:
             if v < n:
                 return v
 
+    def _below_descending(self, hi: int, count: int) -> list[int]:
+        """randbelow(hi), randbelow(hi - 1), ... `count` times, in bulk.
+
+        Consumes exactly the raw words the scalar calls would: words are
+        pulled in chunks and the unused tail of the last chunk is handed
+        back. A chunk never runs past the end of the buffer, because
+        words taken across a refill partly come from the discarded old
+        block and could not be handed back.
+        """
+        out: list[int] = []
+        b = hi
+        stop = hi - count
+        mask = (1 << (b - 1).bit_length()) - 1
+        while b > stop:
+            want = b - stop
+            avail = len(self._buf) - self._pos
+            if 0 < avail < want:
+                want = avail
+            words = self._raw(want).tolist()
+            for used, w in enumerate(words, 1):
+                v = w & mask
+                if v < b:
+                    out.append(v)
+                    b -= 1
+                    if b == stop:
+                        break
+                    if b - 1 <= mask >> 1:
+                        mask >>= 1
+            self._pos -= len(words) - used
+        return out
+
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        arr = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        arr = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), self._below_descending(n, max(n - 1, 0))):
             arr[i], arr[j] = arr[j], arr[i]
-        return arr
+        return np.array(arr, dtype=np.int64)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct values from range(n), sorted ascending."""
         if not 0 <= k <= n:
             raise InvalidArgument(f"cannot sample {k} of {n}")
-        arr = np.arange(n, dtype=np.int64)
-        for i in range(k):
-            j = i + self.randbelow(n - i)
+        arr = list(range(n))
+        for i, j in enumerate(self._below_descending(n, k)):
+            j += i
             arr[i], arr[j] = arr[j], arr[i]
-        return np.sort(arr[:k])
+        return np.sort(np.array(arr[:k], dtype=np.int64))
 
     def normal(self, size: int | None = None):
         """Standard normals via the Marsaglia polar method.

@@ -10,7 +10,9 @@ momentum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,12 +44,26 @@ class ModelSpec:
         if not 0 <= self.layer_split < len(self.segment_sizes()):
             raise InvalidArgument("layer_split must be < segment count")
 
-    def segment_sizes(self) -> list[tuple[str, int]]:
+    def _segment_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
         f, k = self.n_features, self.n_classes
         if self.kind == "logreg":
-            return [("w", f * k), ("b", k)]
+            return [("w", (f, k)), ("b", (k,))]
         h = self.hidden
-        return [("w1", f * h), ("b1", h), ("w2", h * k), ("b2", k)]
+        return [("w1", (f, h)), ("b1", (h,)), ("w2", (h, k)), ("b2", (k,))]
+
+    def segment_sizes(self) -> list[tuple[str, int]]:
+        return [(name, math.prod(shape)) for name, shape in self._segment_shapes()]
+
+    @cached_property
+    def _view_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """(start, stop, shape) of each segment in the flat vector."""
+        plan = []
+        start = 0
+        for _, shape in self._segment_shapes():
+            stop = start + math.prod(shape)
+            plan.append((start, stop, shape))
+            start = stop
+        return tuple(plan)
 
     def layout(self) -> Layout:
         return make_layout(self.segment_sizes())
@@ -107,19 +123,8 @@ def init_params(spec: ModelSpec, rng: Rng) -> ParamVector:
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
-    out = []
-    offset = 0
-    f, k = spec.n_features, spec.n_classes
-    if spec.kind == "logreg":
-        shapes = [(f, k), (k,)]
-    else:
-        h = spec.hidden
-        shapes = [(f, h), (h,), (h, k), (k,)]
-    for shape in shapes:
-        size = int(np.prod(shape))
-        out.append(theta[offset : offset + size].reshape(shape))
-        offset += size
-    return out
+    """Per-segment views of a flat vector, shaped for the maths."""
+    return [theta[start:stop].reshape(shape) for start, stop, shape in spec._view_plan]
 
 
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -132,9 +137,11 @@ def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax of the logits, computed in place in `z`."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
 def forward_loss_grad(
@@ -149,55 +156,84 @@ def forward_loss_grad(
 
     `theta` and `anchor` are flat parameter arrays; `y` holds integer
     class ids. A non-finite loss or gradient raises NumericError naming
-    the first bad parameter segment.
+    the first bad parameter segment. The gradient is a new array.
     """
     if x.shape[0] == 0:
         raise InvalidArgument("batch must be non-empty")
     if (anchor is not None) != (prox_mu > 0.0):
         raise InvalidArgument("anchor must be supplied iff prox_mu > 0")
-    n = x.shape[0]
     grad = np.empty_like(theta)
-    # non-finite values are detected explicitly below; silence numpy's
-    # overflow warnings so the NumericError is the single signal
+    # non-finite values are detected explicitly; silence numpy's overflow
+    # warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
-        if spec.kind == "logreg":
-            w, b = _unpack(spec, theta)
-            z = x @ w + b
-            probs = _softmax(z)
-            dz = probs.copy()
-            dz[np.arange(n), y] -= 1.0
-            dz /= n
-            gw, gb = _unpack(spec, grad)
-            gw[:] = x.T @ dz
-            gb[:] = dz.sum(axis=0)
-        else:
-            w1, b1, w2, b2 = _unpack(spec, theta)
-            pre = x @ w1 + b1
-            hidden = np.maximum(pre, 0.0)
-            z = hidden @ w2 + b2
-            probs = _softmax(z)
-            dz = probs.copy()
-            dz[np.arange(n), y] -= 1.0
-            dz /= n
-            dh = (dz @ w2.T) * (pre > 0.0)
-            gw1, gb1, gw2, gb2 = _unpack(spec, grad)
-            gw1[:] = x.T @ dh
-            gb1[:] = dh.sum(axis=0)
-            gw2[:] = hidden.T @ dz
-            gb2[:] = dz.sum(axis=0)
-        # clip avoids log(0) for saturated probabilities
-        loss = float(-np.log(np.clip(probs[np.arange(n), y], 1e-300, None)).mean())
-        if prox_mu > 0.0:
-            diff = theta - anchor
-            loss += 0.5 * prox_mu * float(diff @ diff)
-            grad += prox_mu * diff
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+        loss = _loss_grad_into(
+            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x, y, anchor, prox_mu
+        )
+    return loss, grad
+
+
+def _loss_grad_into(
+    spec: ModelSpec,
+    theta: np.ndarray,
+    views: list[np.ndarray],
+    grad: np.ndarray,
+    grad_views: list[np.ndarray],
+    x: np.ndarray,
+    y: np.ndarray,
+    anchor: np.ndarray | None,
+    prox_mu: float,
+) -> float:
+    """forward_loss_grad without its argument checks, writing into `grad`.
+
+    `views` and `grad_views` are `_unpack` of `theta` and `grad`. Callers
+    hold the checks' conditions (non-empty batch, anchor iff prox_mu > 0)
+    and silence numpy's floating-point warnings.
+    """
+    n = x.shape[0]
+    rows = np.arange(n)
+    if spec.kind == "logreg":
+        w, b = views
+        z = x @ w
+        z += b
+        dz = _softmax(z)
+        p_true = dz[rows, y]
+        dz[rows, y] -= 1.0
+        dz /= n
+        gw, gb = grad_views
+        np.matmul(x.T, dz, out=gw)
+        np.add.reduce(dz, axis=0, out=gb)
+    else:
+        w1, b1, w2, b2 = views
+        pre = x @ w1
+        pre += b1
+        hidden = np.maximum(pre, 0.0)
+        z = hidden @ w2
+        z += b2
+        dz = _softmax(z)
+        p_true = dz[rows, y]
+        dz[rows, y] -= 1.0
+        dz /= n
+        dh = dz @ w2.T
+        dh *= pre > 0.0
+        gw1, gb1, gw2, gb2 = grad_views
+        np.matmul(x.T, dh, out=gw1)
+        np.add.reduce(dh, axis=0, out=gb1)
+        np.matmul(hidden.T, dz, out=gw2)
+        np.add.reduce(dz, axis=0, out=gb2)
+    # the floor avoids log(0) for saturated probabilities; the sign flip
+    # after the sum is exact, so this is the mean of -log p
+    loss = float(-np.add.reduce(np.log(np.maximum(p_true, 1e-300))) / n)
+    if prox_mu > 0.0:
+        diff = theta - anchor
+        loss += 0.5 * prox_mu * float(diff @ diff)
+        grad += prox_mu * diff
+    if not math.isfinite(loss) or not np.isfinite(grad).all():
         layout = spec.layout()
         seg = first_bad_segment(grad, layout)
         if seg == "<none>":
             seg = first_bad_segment(theta, layout)
         raise NumericError(f"non-finite forward pass (segment {seg})")
-    return loss, grad
+    return loss
 
 
 @dataclass(frozen=True)
@@ -226,24 +262,35 @@ def _local_train(
     n = labels.shape[0]
     if n == 0:
         raise InvalidArgument("client data must be non-empty")
+    # theta and the gradient buffer are only updated in place, so their
+    # segment views stay valid for the whole call
     theta = params.values.copy()
     vel = np.zeros_like(theta)
+    grad = np.empty_like(theta)
+    views, grad_views = _unpack(spec, theta), _unpack(spec, grad)
     anchor = params.values if train.prox_mu > 0.0 else None
+    prox_mu, batch, lr, momentum = train.prox_mu, train.batch_size, opt.lr, opt.momentum
     steps = 0
     loss_total = 0.0
-    for _ in range(train.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, train.batch_size):
-            idx = order[start : start + train.batch_size]
-            loss, grad = forward_loss_grad(
-                spec, theta, features[idx], labels[idx], anchor, train.prox_mu
-            )
-            if grad_offset is not None:
-                grad = grad + grad_offset
-            vel = opt.momentum * vel + grad
-            theta -= opt.lr * vel
-            steps += 1
-            loss_total += loss
+    # as in forward_loss_grad, NumericError is the single signal of overflow
+    with np.errstate(all="ignore"):
+        for _ in range(train.epochs):
+            order = rng.permutation(n)
+            # one gather per epoch; each batch is then a contiguous slice
+            xs, ys = features[order], labels[order]
+            for start in range(0, n, batch):
+                stop = start + batch
+                loss = _loss_grad_into(
+                    spec, theta, views, grad, grad_views, xs[start:stop], ys[start:stop],
+                    anchor, prox_mu,
+                )
+                if grad_offset is not None:
+                    grad += grad_offset
+                vel *= momentum
+                vel += grad
+                theta -= lr * vel
+                steps += 1
+                loss_total += loss
     # 0.0 rather than NaN for the no-step case keeps logs comparable
     mean_loss = loss_total / steps if steps else 0.0
     return ParamVector(theta, params.layout), LocalStats(steps, mean_loss)

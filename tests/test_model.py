@@ -142,6 +142,17 @@ class TestForwardLossGrad:
         with pytest.raises(NumericError, match="segment"):
             forward_loss_grad(LOGREG, huge, x, y)
 
+    def test_returned_gradient_not_reused(self):
+        theta = init_params(MLP, Rng(12)).values
+        x1, y1 = random_batch(Rng(13), 6, MLP)
+        x2, y2 = random_batch(Rng(14), 6, MLP)
+        _, g1 = forward_loss_grad(MLP, theta, x1, y1)
+        kept = g1.copy()
+        _, g2 = forward_loss_grad(MLP, theta, x2, y2)
+        assert not np.shares_memory(g1, g2)
+        assert np.array_equal(g1, kept)
+        assert not np.array_equal(g1, g2)
+
     def test_empty_batch_rejected(self):
         theta = init_params(LOGREG, Rng(13)).values
         with pytest.raises(InvalidArgument):
@@ -225,6 +236,42 @@ class TestClientUpdate:
         a = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         b = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         assert a == b
+
+    @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    def test_matches_reference_loop(self, spec, prox_mu):
+        """Bit-identical to one forward_loss_grad call per batch with
+        freshly allocated arrays and out-of-place momentum updates."""
+        x, y = self._data(n=23, spec=spec)
+        params = init_params(spec, Rng(25))
+        offset = Rng(26).uniform(len(params)) * 0.01
+        local, opt = LocalTrainSpec(3, 5, prox_mu), OptState(0.05, 0.9)
+        out, stats = _local_train(spec, params, x, y, local, opt, Rng(4), offset)
+
+        rng, theta = Rng(4), params.values.copy()
+        vel = np.zeros_like(theta)
+        anchor = params.values if prox_mu > 0.0 else None
+        losses = []
+        for _ in range(local.epochs):
+            order = rng.permutation(len(y))
+            for start in range(0, len(y), local.batch_size):
+                idx = order[start : start + local.batch_size]
+                loss, grad = forward_loss_grad(spec, theta, x[idx], y[idx], anchor, prox_mu)
+                grad = grad + offset
+                vel = opt.momentum * vel + grad
+                theta -= opt.lr * vel
+                losses.append(loss)
+        assert np.array_equal(out.values, theta)
+        assert stats.steps == len(losses) == 15
+        assert stats.mean_loss == sum(losses) / len(losses)
+
+    def test_diverging_lr_raises_numeric_error(self):
+        x, y = self._data()
+        params = init_params(LOGREG, Rng(27))
+        before = params.values.copy()
+        with pytest.raises(NumericError, match=r"segment (w|b)\b"):
+            _local_train(LOGREG, params, x, y, LocalTrainSpec(5, 4), OptState(1e308, 0.9), Rng(5))
+        assert np.array_equal(params.values, before)
 
     def test_short_remainder_batch_kept(self):
         x, y = self._data(n=10)
