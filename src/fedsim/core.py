@@ -118,7 +118,10 @@ class Rng:
         stop = hi - count
         mask = (1 << (b - 1).bit_length()) - 1
         while b > stop:
+            # at least half of all words are accepted, so asking for 1.5x
+            # the draws still needed usually ends the loop in one chunk
             want = b - stop
+            want += (want >> 1) + 8
             avail = len(self._buf) - self._pos
             if 0 < avail < want:
                 want = avail
@@ -130,6 +133,7 @@ class Rng:
                     b -= 1
                     if b == stop:
                         break
+                    # keep mask == randbelow's mask for the new bound b
                     if b - 1 <= mask >> 1:
                         mask >>= 1
             self._pos -= len(words) - used

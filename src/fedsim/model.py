@@ -57,13 +57,10 @@ class ModelSpec:
     @cached_property
     def _view_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
         """(start, stop, shape) of each segment in the flat vector."""
-        plan = []
-        start = 0
-        for _, shape in self._segment_shapes():
-            stop = start + math.prod(shape)
-            plan.append((start, stop, shape))
-            start = stop
-        return tuple(plan)
+        return tuple(
+            (seg.offset, seg.offset + seg.length, shape)
+            for seg, (_, shape) in zip(self.layout(), self._segment_shapes())
+        )
 
     def layout(self) -> Layout:
         return make_layout(self.segment_sizes())

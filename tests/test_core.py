@@ -151,12 +151,43 @@ class TestRngStreamGolden:
             (1000, 200, "d92e8bac770665ebb7e81709174402e0"),
             (1020, 5000, "d11227a6d16b45fba6b2d2d1ad5cf20c"),
             (1023, 2, "1b5ff7aad31d1ab2b541c56d6a79034b"),
+            # the block's last words suffice, but a bulk read sized for
+            # rejections would reach past the block end
+            (730, 200, "81bdf9e016958ceca57fd4d517efa05e"),
+            (870, 100, "995df8547e28df41c79dd647353f0a31"),
         ],
     )
     def test_permutation_across_buffer_refill(self, skip, n, expected):
         r = Rng(9)
         r.uniform(skip)
         assert _stream_digest(r.permutation(n).astype(np.int64), r.uniform(8)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        skip=st.integers(0, 2100),
+        n=st.integers(0, 1500),
+        k_frac=st.floats(0.0, 1.0),
+    )
+    def test_bulk_draws_match_scalar_randbelow(self, seed, skip, n, k_frac):
+        """The reference loops: one randbelow call per swap."""
+        k = int(k_frac * n)
+        bulk, ref = Rng(seed), Rng(seed)
+        bulk.uniform(skip)
+        ref.uniform(skip)
+
+        perm = np.arange(n, dtype=np.int64)
+        for i in range(n - 1, 0, -1):
+            j = ref.randbelow(i + 1)
+            perm[i], perm[j] = perm[j], perm[i]
+        pool = np.arange(n, dtype=np.int64)
+        for i in range(k):
+            j = i + ref.randbelow(n - i)
+            pool[i], pool[j] = pool[j], pool[i]
+
+        assert np.array_equal(bulk.permutation(n), perm)
+        assert np.array_equal(bulk.sample_without_replacement(n, k), np.sort(pool[:k]))
+        assert np.array_equal(bulk.uniform(8), ref.uniform(8))
 
     def test_interleaved_calls(self):
         r = Rng(13)
