@@ -188,35 +188,30 @@ def _loss_grad_into(
     """
     n = x.shape[0]
     rows = np.arange(n)
+    # `a` is the input of the output layer (w, b): x itself for logreg
     if spec.kind == "logreg":
         w, b = views
-        z = x @ w
-        z += b
-        dz = _softmax(z)
-        p_true = dz[rows, y]
-        dz[rows, y] -= 1.0
-        dz /= n
-        gw, gb = grad_views
-        np.matmul(x.T, dz, out=gw)
-        np.add.reduce(dz, axis=0, out=gb)
+        a = x
     else:
-        w1, b1, w2, b2 = views
+        w1, b1, w, b = views
         pre = x @ w1
         pre += b1
-        hidden = np.maximum(pre, 0.0)
-        z = hidden @ w2
-        z += b2
-        dz = _softmax(z)
-        p_true = dz[rows, y]
-        dz[rows, y] -= 1.0
-        dz /= n
-        dh = dz @ w2.T
+        a = np.maximum(pre, 0.0)
+    z = a @ w
+    z += b
+    dz = _softmax(z)
+    p_true = dz[rows, y]
+    dz[rows, y] -= 1.0
+    dz /= n
+    gw, gb = grad_views[-2:]
+    np.matmul(a.T, dz, out=gw)
+    np.add.reduce(dz, axis=0, out=gb)
+    if spec.kind == "mlp":
+        dh = dz @ w.T
         dh *= pre > 0.0
-        gw1, gb1, gw2, gb2 = grad_views
+        gw1, gb1 = grad_views[:2]
         np.matmul(x.T, dh, out=gw1)
         np.add.reduce(dh, axis=0, out=gb1)
-        np.matmul(hidden.T, dz, out=gw2)
-        np.add.reduce(dz, axis=0, out=gb2)
     # the floor avoids log(0) for saturated probabilities; the sign flip
     # after the sum is exact, so this is the mean of -log p
     loss = float(-np.add.reduce(np.log(np.maximum(p_true, 1e-300))) / n)
