@@ -359,3 +359,97 @@ class TestRunSingle:
         assert cfg.digest() == load_config(write_config(tmp_path, TINY)).digest()
         other = load_config(write_config(tmp_path, TINY), {"seed": "10"})
         assert cfg.digest() != other.digest()
+
+
+# The entries of the benchmark's sweep workload (perfbench/workloads.py)
+# at workload seed 3.
+BENCH_SWEEP = {
+    "preset": "gfl2",
+    "federation.rounds": "10",
+    "train.epochs": "1",
+    "algo.ft_epochs": "5",
+    "model.layer_split": "2",
+    "newcomer": "true",
+    "runs": "2",
+    "sweep.alpha": "0.1,1.0",
+    "sweep.algorithm": "fedprox,fednova,scaffold,decoupled,clustered",
+    "seed": "3",
+}
+
+# Every config key set to a non-default value; sweep.p is added after
+# loading because it needs label-skew while sweep.alpha needs label-dir.
+EVERY_KEY = {
+    "preset": "pfl1",
+    "dataset": "synthetic",
+    "mnist_dir": "idx",
+    "synthetic.classes": "7",
+    "synthetic.features": "9",
+    "synthetic.train_per_class": "11",
+    "synthetic.test_per_class": "5",
+    "synthetic.separation": "0.6",
+    "synthetic.sigma": "0.2",
+    "partition.kind": "label-dir",
+    "partition.p": "0.5",
+    "partition.alpha": "0.3",
+    "partition.shards_per_client": "3",
+    "model.kind": "mlp",
+    "model.hidden": "12",
+    "model.init_scale": "0.05",
+    "model.layer_split": "1",
+    "train.epochs": "2",
+    "train.batch_size": "8",
+    "train.lr": "0.02",
+    "train.momentum": "0.5",
+    "federation.clients": "30",
+    "federation.sample_rate": "0.3",
+    "federation.rounds": "12",
+    "federation.algorithm": "fedprox",
+    "algo.mu": "0.01",
+    "algo.ft_epochs": "4",
+    "algo.n_clusters": "3",
+    "runs": "4",
+    "seed": "17",
+    "newcomer": "true",
+    "enforce_recommended": "true",
+    "max_cells": "500",
+    "max_clients": "150",
+    "out": "res",
+    "sweep.alpha": "0.1,1.0",
+    "sweep.E": "1,2",
+    "sweep.C": "0.1,0.2",
+    "sweep.N": "10,20",
+    "sweep.algorithm": "fedavg,fedavg_ft",
+}
+
+
+class TestConfigDigestGolden:
+    """`config_digest` goes into every manifest and report: pin it."""
+
+    @pytest.mark.parametrize(
+        "preset,digest",
+        [
+            ("gfl1", "57e8695d1285"),
+            ("gfl2", "6bc422e0d940"),
+            ("pfl1", "6ca370a65b7b"),
+            ("pfl2", "3377344b6605"),
+        ],
+    )
+    def test_presets(self, preset, digest):
+        assert config_from_entries({"preset": preset}).digest() == digest
+
+    def test_benchmark_sweep_and_cells(self):
+        cfg = config_from_entries(BENCH_SWEEP)
+        assert cfg.digest() == "fcdff18d403f"
+        assert [apply_cell(cfg, cell).digest() for cell in sweep_cells(cfg)] == [
+            "34eb22610dc8", "dbb4b2388875", "ee2a406f10cc", "e177c5f9408b",
+            "49992ae78a74", "4eb74e892f5b", "4e212ab793cb", "884f52d5659b",
+            "88071a35ebcb", "a065e1cc15f6",
+        ]
+
+    def test_every_key(self):
+        import dataclasses
+
+        cfg = config_from_entries(EVERY_KEY)
+        cfg = dataclasses.replace(cfg, sweep_axes=cfg.sweep_axes + (("p", (0.2, 0.5)),))
+        assert len(cfg.canonical_text().splitlines()) == 41
+        assert cfg.digest() == "66b4b6fd4c25"
