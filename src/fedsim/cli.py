@@ -105,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    rows, errors = run_sweep(cfg, workers=args.workers)
+    rows, errors = run_sweep(cfg)
     boundary = None
     algorithms = {r.algorithm for r in rows}
     if {"fedavg", "fedavg_ft"} <= algorithms:
@@ -153,7 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a sweep grid")
     _add_common_flags(p)
-    p.add_argument("--workers", type=int, default=1, help="threads for sweep cells")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("report", help="aggregate CSVs and classify the incentive boundary")

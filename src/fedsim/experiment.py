@@ -16,7 +16,6 @@ import json
 import math
 import statistics
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,52 +41,58 @@ class RecommendedSettingsWarning(UserWarning):
     """A config strays outside the recommended experimental band."""
 
 
-# key -> (type tag, default); None default means "required or preset-supplied"
-_SCHEMA: dict[str, tuple[str, object]] = {
-    "preset": ("str", None),
-    "dataset": ("str", None),
-    "mnist_dir": ("str", None),
-    "synthetic.classes": ("int", 10),
-    "synthetic.features": ("int", 24),
-    "synthetic.train_per_class": ("int", 100),
-    "synthetic.test_per_class": ("int", 40),
-    "synthetic.separation": ("float", 0.8),
-    "synthetic.sigma": ("float", 0.35),
-    "partition.kind": ("str", None),
-    "partition.p": ("float", None),
-    "partition.alpha": ("float", None),
-    "partition.shards_per_client": ("int", None),
-    "model.kind": ("str", "logreg"),
-    "model.hidden": ("int", 32),
-    "model.init_scale": ("float", 0.1),
-    "model.layer_split": ("int", 0),
-    "train.epochs": ("int", 10),
-    "train.batch_size": ("int", 10),
-    "train.lr": ("float", 0.01),
-    "train.momentum": ("float", 0.9),
-    "federation.clients": ("int", None),
-    "federation.sample_rate": ("float", 0.1),
-    "federation.rounds": ("int", None),
-    "federation.algorithm": ("str", "fedavg"),
-    "algo.mu": ("float", 0.001),
-    "algo.ft_epochs": ("int", 20),
-    "algo.n_clusters": ("int", 2),
-    "runs": ("int", 3),
-    "seed": ("int", 1),
-    "newcomer": ("bool", False),
-    "enforce_recommended": ("bool", False),
-    "max_cells": ("int", 256),
-    "max_clients": ("int", 200),
-    "out": ("str", None),
-    "sweep.alpha": ("float_list", None),
-    "sweep.p": ("float_list", None),
-    "sweep.E": ("int_list", None),
-    "sweep.C": ("float_list", None),
-    "sweep.N": ("int_list", None),
-    "sweep.algorithm": ("str_list", None),
+# key -> (ExperimentConfig attribute path, value type); the dataclasses
+# hold the defaults
+_KEYS: dict[str, tuple[str, type]] = {
+    "preset": ("preset", str),
+    "dataset": ("dataset", str),
+    "mnist_dir": ("mnist_dir", str),
+    "synthetic.classes": ("synthetic.n_classes", int),
+    "synthetic.features": ("synthetic.n_features", int),
+    "synthetic.train_per_class": ("synthetic.train_per_class", int),
+    "synthetic.test_per_class": ("synthetic.test_per_class", int),
+    "synthetic.separation": ("synthetic.separation", float),
+    "synthetic.sigma": ("synthetic.sigma", float),
+    "partition.kind": ("partition_kind", str),
+    "partition.p": ("partition_p", float),
+    "partition.alpha": ("partition_alpha", float),
+    "partition.shards_per_client": ("partition_shards", int),
+    "model.kind": ("model_kind", str),
+    "model.hidden": ("model_hidden", int),
+    "model.init_scale": ("model_init_scale", float),
+    "model.layer_split": ("model_layer_split", int),
+    "train.epochs": ("epochs", int),
+    "train.batch_size": ("batch_size", int),
+    "train.lr": ("lr", float),
+    "train.momentum": ("momentum", float),
+    "federation.clients": ("n_clients", int),
+    "federation.sample_rate": ("sample_rate", float),
+    "federation.rounds": ("rounds", int),
+    "federation.algorithm": ("algorithm", str),
+    "algo.mu": ("mu", float),
+    "algo.ft_epochs": ("ft_epochs", int),
+    "algo.n_clusters": ("n_clusters", int),
+    "runs": ("runs", int),
+    "seed": ("seed", int),
+    "newcomer": ("newcomer", bool),
+    "enforce_recommended": ("enforce_recommended", bool),
+    "max_cells": ("max_cells", int),
+    "max_clients": ("max_clients", int),
+    "out": ("out", str),
 }
 
-REQUIRED_KEYS = ("dataset", "partition.kind", "federation.clients", "federation.rounds")
+# sweep axis -> the key it overrides; `sweep.<axis>` takes a list of that
+# key's type, and this order is the cell order
+SWEEP_AXES: dict[str, str] = {
+    "alpha": "partition.alpha",
+    "p": "partition.p",
+    "E": "train.epochs",
+    "C": "federation.sample_rate",
+    "N": "federation.clients",
+    "algorithm": "federation.algorithm",
+}
+
+CONFIG_KEYS = (*_KEYS, *(f"sweep.{axis}" for axis in SWEEP_AXES))
 
 # Desk-scale mirrors of the published training settings: dataset and
 # architecture swapped for synthetic blobs + MLP, geometry kept.
@@ -146,9 +151,6 @@ PRESETS: dict[str, dict[str, str]] = {
     },
 }
 
-SWEEP_AXIS_ORDER = ("alpha", "p", "E", "C", "N", "algorithm")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     dataset: str
@@ -200,6 +202,8 @@ class ExperimentConfig:
         self.partition_spec()
         self.federation_config(self.seed)
         OptState(self.lr, self.momentum)
+        if self.dataset == "synthetic":  # mnist dimensions are known once read
+            self.model_spec(self.synthetic)
 
     def partition_spec(self, n_clients: int | None = None) -> PartitionSpec:
         kind = self.partition_kind
@@ -229,11 +233,11 @@ class ExperimentConfig:
             n_clusters=self.n_clusters,
         )
 
-    def model_spec(self, train: Dataset) -> ModelSpec:
+    def model_spec(self, data: Dataset | SyntheticSpec) -> ModelSpec:
         return ModelSpec(
             kind=self.model_kind,
-            n_features=train.n_features,
-            n_classes=train.n_classes,
+            n_features=data.n_features,
+            n_classes=data.n_classes,
             hidden=self.model_hidden if self.model_kind == "mlp" else None,
             init_scale=self.model_init_scale,
             layer_split=self.model_layer_split,
@@ -244,7 +248,7 @@ class ExperimentConfig:
 
     def canonical_text(self) -> str:
         lines = []
-        for key in sorted(_SCHEMA):
+        for key in sorted(CONFIG_KEYS):
             value = _config_value(self, key)
             if value is not None:
                 lines.append(f"{key} = {_format_value(value)}")
@@ -254,57 +258,37 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
 
 
-_KEY_TO_FIELD = {
-    "dataset": "dataset",
-    "mnist_dir": "mnist_dir",
-    "partition.kind": "partition_kind",
-    "partition.p": "partition_p",
-    "partition.alpha": "partition_alpha",
-    "partition.shards_per_client": "partition_shards",
-    "model.kind": "model_kind",
-    "model.hidden": "model_hidden",
-    "model.init_scale": "model_init_scale",
-    "model.layer_split": "model_layer_split",
-    "train.epochs": "epochs",
-    "train.batch_size": "batch_size",
-    "train.lr": "lr",
-    "train.momentum": "momentum",
-    "federation.clients": "n_clients",
-    "federation.sample_rate": "sample_rate",
-    "federation.rounds": "rounds",
-    "federation.algorithm": "algorithm",
-    "algo.mu": "mu",
-    "algo.ft_epochs": "ft_epochs",
-    "algo.n_clusters": "n_clusters",
-    "runs": "runs",
-    "seed": "seed",
-    "newcomer": "newcomer",
-    "enforce_recommended": "enforce_recommended",
-    "max_cells": "max_cells",
-    "max_clients": "max_clients",
-    "preset": "preset",
-    "out": "out",
-}
-
-_SYNTH_FIELDS = {
-    "synthetic.classes": "n_classes",
-    "synthetic.features": "n_features",
-    "synthetic.train_per_class": "train_per_class",
-    "synthetic.test_per_class": "test_per_class",
-    "synthetic.separation": "separation",
-    "synthetic.sigma": "sigma",
-}
+REQUIRED_KEYS = tuple(
+    next(key for key, (path, _) in _KEYS.items() if path == field.name)
+    for field in dataclasses.fields(ExperimentConfig)
+    if field.default is dataclasses.MISSING
+)
 
 
 def _config_value(cfg: ExperimentConfig, key: str):
-    if key in _KEY_TO_FIELD:
-        return getattr(cfg, _KEY_TO_FIELD[key])
-    if key in _SYNTH_FIELDS:
-        return getattr(cfg.synthetic, _SYNTH_FIELDS[key])
     if key.startswith("sweep."):
-        axes = dict(cfg.sweep_axes)
-        return axes.get(key.split(".", 1)[1])
-    raise KeyError(key)
+        return dict(cfg.sweep_axes).get(key.removeprefix("sweep."))
+    value = cfg
+    for attr in _KEYS[key][0].split("."):
+        value = getattr(value, attr)
+    return value
+
+
+def _field_changes(base, values: dict[str, object]) -> dict[str, object]:
+    """Turn attribute path -> value into field -> value for `base` (a
+    config, or the config class for the defaults); a dotted path replaces
+    one attribute of a copy of base's nested spec."""
+    changes: dict[str, object] = {}
+    nested: dict[str, dict[str, object]] = {}
+    for path, value in values.items():
+        field, _, attr = path.partition(".")
+        if attr:
+            nested.setdefault(field, {})[attr] = value
+        else:
+            changes[field] = value
+    for field, attrs in nested.items():
+        changes[field] = dataclasses.replace(getattr(base, field), **attrs)
+    return changes
 
 
 def _format_value(value) -> str:
@@ -316,24 +300,21 @@ def _format_value(value) -> str:
 
 
 def _convert(key: str, raw: str):
-    tag, _ = _SCHEMA[key]
+    axis = key.removeprefix("sweep.")
+    is_list = axis != key
+    kind = _KEYS[SWEEP_AXES[axis] if is_list else key][1]
+
+    def scalar(text: str):
+        if kind is not bool:
+            return kind(text)
+        if text.lower() not in ("true", "false"):
+            raise ValueError(text)
+        return text.lower() == "true"
+
     try:
-        if tag == "int":
-            return int(raw)
-        if tag == "float":
-            return float(raw)
-        if tag == "bool":
-            if raw.lower() in ("true", "false"):
-                return raw.lower() == "true"
-            raise ValueError(raw)
-        if tag == "int_list":
-            return tuple(int(v.strip()) for v in raw.split(","))
-        if tag == "float_list":
-            return tuple(float(v.strip()) for v in raw.split(","))
-        if tag == "str_list":
-            return tuple(v.strip() for v in raw.split(","))
-        return raw
+        return tuple(scalar(v.strip()) for v in raw.split(",")) if is_list else scalar(raw)
     except ValueError:
+        tag = kind.__name__ + ("_list" if is_list else "")
         raise ConfigError(f"key {key!r}: expected {tag}, got {raw!r}") from None
 
 
@@ -348,7 +329,7 @@ def parse_config_text(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: expected `key = value`, got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _SCHEMA:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         out[key] = value
     return out
@@ -369,27 +350,12 @@ def config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
         raise ConfigError(f"missing required keys: {', '.join(missing)}")
 
     typed = {k: _convert(k, v) for k, v in merged.items()}
-    synth_kwargs = {
-        field: typed.pop(key) for key, field in _SYNTH_FIELDS.items() if key in typed
-    }
-    sweep_axes = []
-    for axis in SWEEP_AXIS_ORDER:
-        key = f"sweep.{axis}"
-        if key in typed:
-            sweep_axes.append((axis, typed.pop(key)))
-    kwargs = {_KEY_TO_FIELD[k]: v for k, v in typed.items()}
-    kwargs["preset"] = preset
-    kwargs["synthetic"] = SyntheticSpec(
-        n_classes=synth_kwargs.get("n_classes", 10),
-        n_features=synth_kwargs.get("n_features", 24),
-        train_per_class=synth_kwargs.get("train_per_class", 100),
-        test_per_class=synth_kwargs.get("test_per_class", 40),
-        separation=synth_kwargs.get("separation", 0.8),
-        sigma=synth_kwargs.get("sigma", 0.35),
+    sweep_axes = tuple(
+        (axis, typed.pop(f"sweep.{axis}")) for axis in SWEEP_AXES if f"sweep.{axis}" in typed
     )
-    kwargs["sweep_axes"] = tuple(sweep_axes)
     try:
-        cfg = ExperimentConfig(**kwargs)
+        kwargs = _field_changes(ExperimentConfig, {_KEYS[k][0]: v for k, v in typed.items()})
+        cfg = ExperimentConfig(**kwargs, preset=preset, sweep_axes=sweep_axes)
     except (InvalidArgument, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
     _check_recommended(cfg)
@@ -446,7 +412,7 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
     entries = parse_config_text(text)
     if overrides:
         for key, value in overrides.items():
-            if key not in _SCHEMA:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown override key {key!r}")
             entries[key] = value
     if not entries:
@@ -458,23 +424,11 @@ def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> Ex
 
 def apply_cell(cfg: ExperimentConfig, cell: dict[str, object]) -> ExperimentConfig:
     """Override one sweep cell's axis values on the base config."""
-    changes: dict[str, object] = {}
-    for axis, value in cell.items():
-        if axis == "alpha":
-            changes["partition_alpha"] = value
-        elif axis == "p":
-            changes["partition_p"] = value
-        elif axis == "E":
-            changes["epochs"] = value
-        elif axis == "C":
-            changes["sample_rate"] = value
-        elif axis == "N":
-            changes["n_clients"] = value
-        elif axis == "algorithm":
-            changes["algorithm"] = value
-        else:
+    for axis in cell:
+        if axis not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {axis!r}")
-    return dataclasses.replace(cfg, sweep_axes=(), **changes)
+    values = {_KEYS[SWEEP_AXES[axis]][0]: value for axis, value in cell.items()}
+    return dataclasses.replace(cfg, sweep_axes=(), **_field_changes(cfg, values))
 
 
 @dataclass(frozen=True)
@@ -591,22 +545,13 @@ def sweep_cells(cfg: ExperimentConfig) -> list[dict[str, object]]:
     return cells
 
 
-def run_sweep(cfg: ExperimentConfig, workers: int = 1) -> tuple[list[ResultRow], list[str]]:
+def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     """Run every cell x every seed; failures become error rows."""
-    cells = sweep_cells(cfg)
-    cell_cfgs = [apply_cell(cfg, cell) for cell in cells]
-
-    def one(i: int):
-        return run_cell_rows(cell_cfgs[i], i, cfg.seed)
-
-    if workers <= 1:
-        outcomes = [one(i) for i in range(len(cells))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, range(len(cells))))
+    cell_cfgs = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
     rows: list[ResultRow] = []
     errors: list[str] = []
-    for cell_rows, cell_errors in outcomes:
+    for i, cell_cfg in enumerate(cell_cfgs):
+        cell_rows, cell_errors = run_cell_rows(cell_cfg, i, cfg.seed)
         rows.extend(cell_rows)
         errors.extend(cell_errors)
     return rows, errors

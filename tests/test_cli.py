@@ -182,6 +182,11 @@ class TestExitCodes:
             ("federation.rounds", "0"),
             ("federation.sample_rate", "0"),
             ("algo.n_clusters", "0"),
+            ("model.kind", "cnn"),
+            ("model.init_scale", "-1"),
+            ("model.layer_split", "9"),
+            ("synthetic.classes", "1"),
+            ("synthetic.sigma", "-1"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, key, value, tmp_path, monkeypatch):
@@ -193,8 +198,8 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert not (tmp_path / "run-out").exists()
 
-    @pytest.mark.parametrize("command", ["run", "partition"])
-    def test_workers_flag_only_on_sweep(self, command, cfg_path):
+    @pytest.mark.parametrize("command", ["run", "partition", "sweep"])
+    def test_workers_flag_rejected(self, command, cfg_path):
         with pytest.raises(SystemExit) as exc:
             main([command, str(cfg_path), "--workers", "2"])
         assert exc.value.code == 2

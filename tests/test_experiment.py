@@ -1,10 +1,17 @@
+import dataclasses
 import json
+import re
 import statistics
+from pathlib import Path
 
 import pytest
 
+from fedsim.data import SyntheticSpec
 from fedsim.errors import ConfigError, InvalidArgument
 from fedsim.experiment import (
+    _KEYS,
+    CONFIG_KEYS,
+    SWEEP_AXES,
     BoundaryReport,
     ExperimentConfig,
     RecommendedSettingsWarning,
@@ -171,13 +178,6 @@ class TestSweep:
         lines2 = rows_to_csv_lines(rows2, timestamp="T")
         # identical excluding the timestamp header (fixed here anyway)
         assert lines1[1:] == lines2[1:]
-
-    def test_workers_do_not_change_rows(self, tmp_path):
-        text = TINY + "sweep.E = 1,2\nruns = 1\n"
-        cfg = load_config(write_config(tmp_path, text))
-        rows1, _ = run_sweep(cfg, workers=1)
-        rows4, _ = run_sweep(cfg, workers=4)
-        assert rows_to_csv_lines(rows1, "T") == rows_to_csv_lines(rows4, "T")
 
     def test_failed_cell_becomes_error_row_and_sweep_continues(self, tmp_path):
         # solo cannot serve newcomers, so that cell fails while the
@@ -453,3 +453,95 @@ class TestConfigDigestGolden:
         cfg = dataclasses.replace(cfg, sweep_axes=cfg.sweep_axes + (("p", (0.2, 0.5)),))
         assert len(cfg.canonical_text().splitlines()) == 41
         assert cfg.digest() == "66b4b6fd4c25"
+
+
+# Valid base entries; each key of KEY_VALUES alone still gives a valid config.
+ROUND_TRIP_BASE = {
+    "dataset": "synthetic",
+    "mnist_dir": "idx",
+    "partition.kind": "iid",
+    "partition.p": "0.5",
+    "partition.alpha": "0.3",
+    "partition.shards_per_client": "2",
+    "federation.clients": "10",
+    "federation.rounds": "2",
+}
+
+# A value per key that differs from the base config, written as
+# canonical_text writes it.
+KEY_VALUES = {
+    **{k: v for k, v in EVERY_KEY.items() if not k.startswith("sweep.")},
+    "dataset": "mnist",
+    "mnist_dir": "idx2",
+    "partition.kind": "label-dir",
+    "partition.p": "0.4",
+    "partition.alpha": "0.2",
+    "partition.shards_per_client": "3",
+    "federation.clients": "12",
+    "federation.rounds": "3",
+}
+
+
+def _attribute(cfg, path):
+    for attr in path.split("."):
+        cfg = getattr(cfg, attr)
+    return cfg
+
+
+class TestKeyTable:
+    def test_values_cover_every_key(self):
+        assert set(KEY_VALUES) == set(_KEYS)
+
+    def test_every_field_has_exactly_one_key(self):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        fields.remove("sweep_axes")
+        fields.remove("synthetic")
+        fields += [f"synthetic.{f.name}" for f in dataclasses.fields(SyntheticSpec)]
+        assert sorted(path for path, _ in _KEYS.values()) == sorted(fields)
+
+    @pytest.mark.parametrize("key", sorted(_KEYS))
+    def test_key_lands_on_its_attribute(self, key):
+        path, kind = _KEYS[key]
+        base = config_from_entries(ROUND_TRIP_BASE)
+        cfg = config_from_entries({**ROUND_TRIP_BASE, key: KEY_VALUES[key]})
+        value = _attribute(cfg, path)
+        assert type(value) is kind
+        assert value != _attribute(base, path)
+        line = f"{key} = {KEY_VALUES[key]}"
+        assert line in cfg.canonical_text().splitlines()
+        assert line not in base.canonical_text().splitlines()
+
+    @pytest.mark.parametrize("axis", list(SWEEP_AXES))
+    def test_axis_sets_its_key_field(self, axis):
+        key = SWEEP_AXES[axis]
+        by_key = config_from_entries({**ROUND_TRIP_BASE, key: KEY_VALUES[key]})
+        base = config_from_entries(ROUND_TRIP_BASE)
+        value = _attribute(by_key, _KEYS[key][0])
+        assert apply_cell(base, {axis: value}) == by_key
+
+    def test_sweep_key_takes_list_of_axis_key_type(self):
+        cfg = config_from_entries(
+            {**ROUND_TRIP_BASE, "sweep.E": "1, 3", "sweep.algorithm": "fedavg, solo"}
+        )
+        assert cfg.sweep_axes == (("E", (1, 3)), ("algorithm", ("fedavg", "solo")))
+        with pytest.raises(ConfigError, match="expected int_list"):
+            config_from_entries({**ROUND_TRIP_BASE, "sweep.N": "4,many"})
+
+    def test_unknown_axis_rejected(self):
+        base = config_from_entries(ROUND_TRIP_BASE)
+        with pytest.raises(ConfigError, match="unknown sweep axis 'lr'"):
+            apply_cell(base, {"lr": 0.1})
+
+
+def test_readme_config_reference_lists_every_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for line in table.splitlines():
+        if not line.startswith("| `"):
+            continue
+        # `a.b` / `.c` is shorthand for a.b and a.c
+        names = re.findall(r"`([^`]+)`", line.split("|")[1])
+        prefix = names[0].split(".")[0]
+        documented.update(prefix + n if n.startswith(".") else n for n in names)
+    assert documented == set(CONFIG_KEYS)
