@@ -1,6 +1,6 @@
 """Deterministic desk-scale federated learning simulation harness."""
 
-from .core import ParamVector, Rng, axpy, dirichlet_sample, hash64, weighted_mean
+from .core import Rng, dirichlet_sample, hash64
 from .data import Dataset, SyntheticSpec, allocate_local_test, generate_synthetic, load_idx
 from .errors import (
     ConfigError,
@@ -53,14 +53,12 @@ __all__ = [
     "ModelSpec",
     "NumericError",
     "OptState",
-    "ParamVector",
     "PartitionError",
     "PartitionSpec",
     "Rng",
     "RunResult",
     "SyntheticSpec",
     "allocate_local_test",
-    "axpy",
     "compute_report",
     "dirichlet_sample",
     "evaluate",
@@ -78,5 +76,4 @@ __all__ = [
     "pfl_metric",
     "run_federation",
     "sample_clients",
-    "weighted_mean",
 ]

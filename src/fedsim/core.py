@@ -1,18 +1,16 @@
 """Numeric and stochastic primitives shared by every other module.
 
-Provides a splittable counter-based random source (`Rng`), Dirichlet
-sampling built on it, and the flat named-segment parameter vector
-(`ParamVector`) with the arithmetic the fusion strategies need.
+Provides a splittable counter-based random source (`Rng`), stable
+hashing for seeds and stream ids, and Dirichlet sampling built on it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompatibleShape, InvalidArgument, NumericError
+from .errors import InvalidArgument, NumericError
 
 _MASK64 = (1 << 64) - 1
 _DOUBLE_SCALE = 2.0 ** -53
@@ -248,119 +246,3 @@ def dirichlet_sample(rng: Rng, alpha: float, k: int) -> np.ndarray:
             assert_prob_vector(p)
             return p
     raise NumericError("dirichlet draw underflowed to zero 100 times")
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous named slice of a ParamVector."""
-
-    name: str
-    offset: int
-    length: int
-
-
-Layout = tuple[Segment, ...]
-
-
-def make_layout(sizes: list[tuple[str, int]]) -> Layout:
-    offset = 0
-    segs = []
-    for name, length in sizes:
-        segs.append(Segment(name, offset, length))
-        offset += length
-    return tuple(segs)
-
-
-class ParamVector:
-    """Flat float64 parameter vector with a named-segment layout.
-
-    Immutable: the backing array is marked read-only at construction,
-    and every public operation returns a new vector. Construction
-    checks the layout is contiguous and every value finite.
-    """
-
-    __slots__ = ("values", "layout")
-
-    def __init__(self, values, layout: Layout):
-        arr = np.ascontiguousarray(values, dtype=np.float64)
-        offset = 0
-        for seg in layout:
-            if seg.offset != offset or seg.length < 0:
-                raise IncompatibleShape(f"segment {seg.name} is not contiguous")
-            offset += seg.length
-        if offset != arr.shape[0] or arr.ndim != 1:
-            raise IncompatibleShape(
-                f"layout covers {offset} values, array has shape {arr.shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise NumericError(f"non-finite value in segment {first_bad_segment(arr, layout)}")
-        arr = arr.copy() if not arr.flags.owndata or arr.flags.writeable else arr
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "layout", tuple(layout))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("ParamVector is immutable")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ParamVector)
-            and self.layout == other.layout
-            and np.array_equal(self.values, other.values)
-        )
-
-    def __repr__(self) -> str:
-        names = ",".join(s.name for s in self.layout)
-        return f"ParamVector(len={len(self)}, segments=[{names}])"
-
-    def segment(self, name: str) -> np.ndarray:
-        for seg in self.layout:
-            if seg.name == name:
-                return self.values[seg.offset : seg.offset + seg.length]
-        raise InvalidArgument(f"no segment named {name!r}")
-
-    def with_values(self, values) -> "ParamVector":
-        return ParamVector(values, self.layout)
-
-    def zeros_like(self) -> "ParamVector":
-        return ParamVector(np.zeros(len(self)), self.layout)
-
-
-def first_bad_segment(arr: np.ndarray, layout: Layout) -> str:
-    for seg in layout:
-        if not np.all(np.isfinite(arr[seg.offset : seg.offset + seg.length])):
-            return seg.name
-    return "<none>"
-
-
-def weighted_mean(vectors: list[ParamVector], weights) -> ParamVector:
-    """Elementwise sum(w_k * v_k) / sum(w_k), layout preserved."""
-    if not vectors:
-        raise InvalidArgument("weighted_mean requires at least one vector")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (len(vectors),):
-        raise InvalidArgument(f"{len(vectors)} vectors but {w.shape} weights")
-    if np.any(w < 0.0):
-        raise InvalidArgument("weights must be non-negative")
-    total = float(w.sum())
-    if total == 0.0:
-        raise InvalidArgument("weights must not all be zero")
-    # normalizing first keeps the single-vector case an exact identity
-    w = w / total
-    layout = vectors[0].layout
-    acc = np.zeros(len(vectors[0]))
-    for vec, wk in zip(vectors, w):
-        if vec.layout != layout:
-            raise IncompatibleShape("weighted_mean over mismatched layouts")
-        acc += wk * vec.values
-    return ParamVector(acc, layout)
-
-
-def axpy(a: float, x: ParamVector, y: ParamVector) -> ParamVector:
-    """a * x + y."""
-    if x.layout != y.layout:
-        raise IncompatibleShape("axpy over mismatched layouts")
-    return ParamVector(a * x.values + y.values, x.layout)

@@ -10,7 +10,7 @@ class InvalidArgument(FedsimError, ValueError):
 
 
 class IncompatibleShape(FedsimError, ValueError):
-    """Parameter vectors with mismatched layouts were combined."""
+    """Parameter vectors with mismatched shapes were combined."""
 
 
 class NumericError(FedsimError, ArithmeticError):

@@ -24,9 +24,9 @@ from .core import Rng, hash64
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_mnist_dir
 from .errors import ConfigError, FedsimError, InvalidArgument
 from .federation import (
-    ALGORITHMS,
     PERSONALIZED_ALGORITHMS,
     FederationConfig,
+    participant_count,
     run_federation,
 )
 from .metrics import MetricReport, compute_report, newcomer_protocol
@@ -204,6 +204,12 @@ class ExperimentConfig:
         OptState(self.lr, self.momentum)
         if self.dataset == "synthetic":  # mnist dimensions are known once read
             self.model_spec(self.synthetic)
+        window = participant_count(self.n_clients, self.sample_rate)
+        if self.rounds < window:
+            raise ConfigError(
+                f"federation.rounds = {self.rounds} is shorter than the evaluation "
+                f"window of {window} rounds (max(floor(C*N), 1))"
+            )
 
     def partition_spec(self, n_clients: int | None = None) -> PartitionSpec:
         kind = self.partition_kind
@@ -305,11 +311,14 @@ def _convert(key: str, raw: str):
     kind = _KEYS[SWEEP_AXES[axis] if is_list else key][1]
 
     def scalar(text: str):
-        if kind is not bool:
-            return kind(text)
-        if text.lower() not in ("true", "false"):
+        if kind is bool:
+            if text.lower() not in ("true", "false"):
+                raise ValueError(text)
+            return text.lower() == "true"
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
             raise ValueError(text)
-        return text.lower() == "true"
+        return value
 
     try:
         return tuple(scalar(v.strip()) for v in raw.split(",")) if is_list else scalar(raw)
@@ -356,10 +365,13 @@ def config_from_entries(entries: dict[str, str]) -> ExperimentConfig:
     try:
         kwargs = _field_changes(ExperimentConfig, {_KEYS[k][0]: v for k, v in typed.items()})
         cfg = ExperimentConfig(**kwargs, preset=preset, sweep_axes=sweep_axes)
+        _check_recommended(cfg)
+        _validate_sweep_axes(cfg)
+        # each cell is a config of its own; building it runs its checks
+        for cell in sweep_cells(cfg):
+            apply_cell(cfg, cell)
     except (InvalidArgument, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
-    _check_recommended(cfg)
-    _validate_sweep_axes(cfg)
     return cfg
 
 
@@ -389,16 +401,8 @@ def _validate_sweep_axes(cfg: ExperimentConfig) -> None:
             raise ConfigError("sweep.alpha requires a Dirichlet partition kind")
         if axis == "p" and cfg.partition_kind != "label-skew":
             raise ConfigError("sweep.p requires partition.kind = label-skew")
-        if axis == "algorithm":
-            for name in values:
-                if name not in ALGORITHMS:
-                    raise ConfigError(f"unknown algorithm in sweep: {name!r}")
-        if axis in ("E", "N") and any(v < 1 for v in values):
-            raise ConfigError(f"sweep.{axis} values must be >= 1")
-        if axis == "N" and any(v > cfg.max_clients for v in values):
-            raise ConfigError(f"sweep.N values exceed the client cap {cfg.max_clients}")
-        if axis == "C" and any(not 0.0 < v <= 1.0 for v in values):
-            raise ConfigError("sweep.C values must be in (0, 1]")
+        if axis == "E" and any(v < 1 for v in values):
+            raise ConfigError("sweep.E values must be >= 1")
         if axis in ("alpha", "p") and any(v <= 0 for v in values):
             raise ConfigError(f"sweep.{axis} values must be > 0")
 

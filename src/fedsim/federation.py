@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import ParamVector, Rng, weighted_mean
+from .core import Rng
 from .data import Dataset
 from .errors import IncompatibleShape, InvalidArgument
 from .model import (
@@ -98,9 +98,9 @@ class RoundLog:
 @dataclass
 class RunResult:
     round_logs: list[RoundLog]
-    final_global: ParamVector | None
-    final_personal: dict[int, ParamVector]
-    final_clusters: list[ParamVector] | None = None
+    final_global: np.ndarray | None
+    final_personal: dict[int, np.ndarray]
+    final_clusters: list[np.ndarray] | None = None
 
     def digest(self) -> str:
         """Stable content hash for determinism checks across processes."""
@@ -111,13 +111,13 @@ class RunResult:
             for s in log.client_stats:
                 h.update(struct.pack("<qqqd", s.client_id, s.n_train, s.steps, s.mean_loss))
         if self.final_global is not None:
-            h.update(self.final_global.values.tobytes())
+            h.update(self.final_global.tobytes())
         for cid in sorted(self.final_personal):
             h.update(struct.pack("<q", cid))
-            h.update(self.final_personal[cid].values.tobytes())
+            h.update(self.final_personal[cid].tobytes())
         if self.final_clusters is not None:
-            for pv in self.final_clusters:
-                h.update(pv.values.tobytes())
+            for theta in self.final_clusters:
+                h.update(theta.tobytes())
         return h.hexdigest()
 
 
@@ -136,13 +136,25 @@ def sample_clients(rng: Rng, n: int, sample_rate: float) -> tuple[int, ...]:
     return tuple(int(i) for i in rng.sample_without_replacement(n, m))
 
 
-def fuse_fedavg(updates: list[tuple[ParamVector, int]]) -> ParamVector:
-    """Dataset-size weighted mean of client parameters."""
+def fuse_fedavg(updates: list[tuple[np.ndarray, int]]) -> np.ndarray:
+    """Dataset-size weighted mean of client parameters: sum(n_k * theta_k) / sum(n_k)."""
     if not updates:
         raise InvalidArgument("fuse_fedavg needs at least one update")
-    vectors = [u[0] for u in updates]
-    weights = [float(u[1]) for u in updates]
-    return weighted_mean(vectors, weights)
+    w = np.array([float(n) for _, n in updates])
+    if np.any(w < 0.0):
+        raise InvalidArgument("weights must be non-negative")
+    total = float(w.sum())
+    if total == 0.0:
+        raise InvalidArgument("weights must not all be zero")
+    # normalizing first keeps the single-update case an exact identity
+    w = w / total
+    shape = updates[0][0].shape
+    acc = np.zeros(shape)
+    for (theta, _), wk in zip(updates, w):
+        if theta.shape != shape:
+            raise IncompatibleShape("fuse_fedavg over mismatched shapes")
+        acc += wk * theta
+    return acc
 
 
 def tau_effective(tau: int, momentum: float) -> float:
@@ -160,10 +172,10 @@ def tau_effective(tau: int, momentum: float) -> float:
 
 
 def fuse_fednova(
-    updates: list[tuple[ParamVector, int, int]],
-    global_params: ParamVector,
+    updates: list[tuple[np.ndarray, int, int]],
+    global_params: np.ndarray,
     momentum: float = 0.0,
-) -> ParamVector:
+) -> np.ndarray:
     """Normalized averaging of client deltas (delta = local - global).
 
     Each delta is normalized by its effective step count, averaged with
@@ -180,12 +192,12 @@ def fuse_fednova(
     p = sizes / sizes.sum()
     tau_eff = np.array([tau_effective(t, momentum) for t in taus])
     tau_bar = float(p @ tau_eff)
-    acc = np.zeros(len(global_params))
+    acc = np.zeros(global_params.shape)
     for (delta, _, _), weight, te in zip(updates, p, tau_eff):
-        if delta.layout != global_params.layout:
-            raise IncompatibleShape("fuse_fednova over mismatched layouts")
-        acc += weight * delta.values / te
-    return ParamVector(global_params.values + tau_bar * acc, global_params.layout)
+        if delta.shape != global_params.shape:
+            raise IncompatibleShape("fuse_fednova over mismatched shapes")
+        acc += weight * delta / te
+    return global_params + tau_bar * acc
 
 
 @dataclass
@@ -200,12 +212,6 @@ class ScaffoldState:
         return ScaffoldState(
             np.zeros(n_params), {int(k): np.zeros(n_params) for k in client_ids}
         )
-
-    def mean_client_variate(self) -> np.ndarray:
-        acc = np.zeros_like(self.server)
-        for v in self.clients.values():
-            acc += v
-        return acc / len(self.clients)
 
 
 def scaffold_client_variate(
@@ -255,10 +261,10 @@ def run_federation(
     return _run_global_family(config, model_spec, data, test, root, opt)
 
 
-def _with_head(global_p: ParamVector, head: np.ndarray, boundary: int) -> ParamVector:
-    vals = global_p.values.copy()
-    vals[boundary:] = head
-    return ParamVector(vals, global_p.layout)
+def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndarray:
+    theta = global_p.copy()
+    theta[boundary:] = head
+    return theta
 
 
 def _stats_tuple(selected, results, sizes) -> tuple[ClientRoundStat, ...]:
@@ -271,11 +277,10 @@ def _stats_tuple(selected, results, sizes) -> tuple[ClientRoundStat, ...]:
 def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
     algo = config.algorithm
     global_p = init_params(model_spec, root.substream("init", 0))
-    layout = global_p.layout
     boundary = model_spec.local_boundary()
     decoupled = algo == "decoupled"
     heads = (
-        {k: global_p.values[boundary:].copy() for k in range(config.n_clients)}
+        {k: global_p[boundary:].copy() for k in range(config.n_clients)}
         if decoupled
         else None
     )
@@ -309,11 +314,7 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
 
         if algo == "fednova":
             updates = [
-                (
-                    ParamVector(results[k][0].values - global_p.values, layout),
-                    data.sizes[k],
-                    results[k][1].steps,
-                )
+                (results[k][0] - global_p, data.sizes[k], results[k][1].steps)
                 for k in selected
             ]
             global_p = fuse_fednova(updates, global_p, config.momentum)
@@ -321,34 +322,35 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
             delta = np.zeros(len(global_p))
             variate_delta = np.zeros(len(global_p))
             for k in selected:
-                local_vals = results[k][0].values
-                delta += local_vals - global_p.values
+                local_p = results[k][0]
+                delta += local_p - global_p
                 new_c = scaffold_client_variate(
                     scaffold.clients[k],
                     scaffold.server,
-                    global_p.values,
-                    local_vals,
+                    global_p,
+                    local_p,
                     results[k][1].steps,
                     config.lr,
                 )
                 variate_delta += new_c - scaffold.clients[k]
                 scaffold.clients[k] = new_c
             m = len(selected)
-            global_p = ParamVector(global_p.values + delta / m, layout)
+            global_p = global_p + delta / m
             scaffold.server = scaffold.server + variate_delta / config.n_clients
         else:
             fused = fuse_fedavg([(results[k][0], data.sizes[k]) for k in selected])
             if decoupled:
                 for k in selected:
-                    heads[k] = results[k][0].values[boundary:].copy()
+                    heads[k] = results[k][0][boundary:].copy()
             global_p = fused
+        model_spec.check_finite(global_p)
 
         acc = evaluate(model_spec, global_p, test, test_idx)
         logs.append(
             RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, results, data.sizes))
         )
 
-    personal: dict[int, ParamVector] = {}
+    personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
         personal = _fine_tune_data(
             global_p, model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
@@ -359,14 +361,14 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
 
 
 def _fine_tune_data(
-    global_params: ParamVector,
+    global_params: np.ndarray,
     model_spec: ModelSpec,
     data: _ClientData,
     ft_epochs: int,
     batch_size: int,
     opt: OptState,
     root: Rng,
-) -> dict[int, ParamVector]:
+) -> dict[int, np.ndarray]:
     """Every client (all N) locally fine-tunes the global model.
 
     ft_epochs of the standard local loop starting from global_params;
@@ -383,14 +385,9 @@ def _fine_tune_data(
     }
 
 
-def _mean_loss(model_spec, values, x, y) -> float:
-    loss, _ = forward_loss_grad(model_spec, values, x, y)
-    return loss
-
-
 def assign_cluster(model_spec, clusters, x, y) -> int:
     """Lowest-train-loss cluster, ties toward the lowest cluster id."""
-    losses = [_mean_loss(model_spec, c.values, x, y) for c in clusters]
+    losses = [forward_loss_grad(model_spec, c, x, y)[0] for c in clusters]
     return int(np.argmin(losses))
 
 
@@ -419,6 +416,7 @@ def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
             members = [k for k in selected if assignment[k] == j]
             if members:
                 clusters[j] = fuse_fedavg([(results[k][0], data.sizes[k]) for k in members])
+                model_spec.check_finite(clusters[j])
         cluster_accs = [evaluate(model_spec, c, test, test_idx) for c in clusters]
         acc = max(cluster_accs)
         logs.append(

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParamVector, Rng
+from .core import Rng
 from .data import Dataset, allocate_local_test
 from .errors import InvalidArgument
 from .federation import (
@@ -87,7 +87,7 @@ def fairness_metric(per_client_accuracies) -> float:
 
 def local_test_accuracies(
     model_spec: ModelSpec,
-    personal: dict[int, ParamVector],
+    personal: dict[int, np.ndarray],
     partitions: list[ClientPartition],
     test: Dataset,
 ) -> dict[int, float]:

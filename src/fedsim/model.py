@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Layout, ParamVector, Rng, first_bad_segment, make_layout
+from .core import Rng
 from .data import Dataset
 from .errors import InvalidArgument, NumericError
 
@@ -39,42 +39,43 @@ class ModelSpec:
             raise InvalidArgument("need n_features >= 1 and n_classes >= 2")
         if self.kind == "mlp" and (self.hidden is None or self.hidden < 1):
             raise InvalidArgument("mlp requires hidden >= 1")
-        if self.init_scale < 0.0:
-            raise InvalidArgument("init_scale must be >= 0")
-        if not 0 <= self.layer_split < len(self.segment_sizes()):
+        if not math.isfinite(self.init_scale) or self.init_scale < 0.0:
+            raise InvalidArgument("init_scale must be finite and >= 0")
+        if not 0 <= self.layer_split < len(self._view_plan):
             raise InvalidArgument("layer_split must be < segment count")
 
-    def _segment_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
-        f, k = self.n_features, self.n_classes
-        if self.kind == "logreg":
-            return [("w", (f, k)), ("b", (k,))]
-        h = self.hidden
-        return [("w1", (f, h)), ("b1", (h,)), ("w2", (h, k)), ("b2", (k,))]
-
-    def segment_sizes(self) -> list[tuple[str, int]]:
-        return [(name, math.prod(shape)) for name, shape in self._segment_shapes()]
-
     @cached_property
-    def _view_plan(self) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """(start, stop, shape) of each segment in the flat vector."""
-        return tuple(
-            (seg.offset, seg.offset + seg.length, shape)
-            for seg, (_, shape) in zip(self.layout(), self._segment_shapes())
-        )
-
-    def layout(self) -> Layout:
-        return make_layout(self.segment_sizes())
+    def _view_plan(self) -> tuple[tuple[str, int, int, tuple[int, ...]], ...]:
+        """(name, start, stop, shape) of each segment in the flat vector."""
+        f, k, h = self.n_features, self.n_classes, self.hidden
+        if self.kind == "logreg":
+            shapes = [("w", (f, k)), ("b", (k,))]
+        else:
+            shapes = [("w1", (f, h)), ("b1", (h,)), ("w2", (h, k)), ("b2", (k,))]
+        plan, start = [], 0
+        for name, shape in shapes:
+            stop = start + math.prod(shape)
+            plan.append((name, start, stop, shape))
+            start = stop
+        return tuple(plan)
 
     def n_params(self) -> int:
-        layout = self.layout()
-        return layout[-1].offset + layout[-1].length
+        return self._view_plan[-1][2]
 
     def local_boundary(self) -> int:
         """Offset where the trailing `layer_split` local segments begin."""
         if self.layer_split == 0:
             return self.n_params()
-        layout = self.layout()
-        return layout[len(layout) - self.layer_split].offset
+        return self._view_plan[-self.layer_split][1]
+
+    def check_finite(self, theta: np.ndarray) -> None:
+        """Raise NumericError naming the first segment of `theta` with a NaN or Inf."""
+        if not np.isfinite(theta).all():
+            name = next(
+                name for name, start, stop, _ in self._view_plan
+                if not np.isfinite(theta[start:stop]).all()
+            )
+            raise NumericError(f"non-finite value in segment {name}")
 
 
 @dataclass(frozen=True)
@@ -106,22 +107,18 @@ class LocalTrainSpec:
             raise InvalidArgument("prox_mu must be >= 0")
 
 
-def init_params(spec: ModelSpec, rng: Rng) -> ParamVector:
+def init_params(spec: ModelSpec, rng: Rng) -> np.ndarray:
     """Uniform(-init_scale, init_scale) weights, zero biases."""
-    layout = spec.layout()
-    values = np.zeros(spec.n_params())
-    for seg in layout:
-        if seg.name.startswith("w"):
-            u = rng.uniform(seg.length)
-            values[seg.offset : seg.offset + seg.length] = (
-                (u * 2.0 - 1.0) * spec.init_scale
-            )
-    return ParamVector(values, layout)
+    theta = np.zeros(spec.n_params())
+    for name, start, stop, _ in spec._view_plan:
+        if name.startswith("w"):
+            theta[start:stop] = (rng.uniform(stop - start) * 2.0 - 1.0) * spec.init_scale
+    return theta
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
     """Per-segment views of a flat vector, shaped for the maths."""
-    return [theta[start:stop].reshape(shape) for start, stop, shape in spec._view_plan]
+    return [theta[start:stop].reshape(shape) for _, start, stop, shape in spec._view_plan]
 
 
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -220,11 +217,10 @@ def _loss_grad_into(
         loss += 0.5 * prox_mu * float(diff @ diff)
         grad += prox_mu * diff
     if not math.isfinite(loss) or not np.isfinite(grad).all():
-        layout = spec.layout()
-        seg = first_bad_segment(grad, layout)
-        if seg == "<none>":
-            seg = first_bad_segment(theta, layout)
-        raise NumericError(f"non-finite forward pass (segment {seg})")
+        # name the first bad segment of the gradient, else of the parameters
+        spec.check_finite(grad)
+        spec.check_finite(theta)
+        raise NumericError("non-finite loss")
     return loss
 
 
@@ -236,31 +232,32 @@ class LocalStats:
 
 def _local_train(
     spec: ModelSpec,
-    params: ParamVector,
+    params: np.ndarray,
     features: np.ndarray,
     labels: np.ndarray,
     train: LocalTrainSpec,
     opt: OptState,
     rng: Rng,
     grad_offset: np.ndarray | None = None,
-) -> tuple[ParamVector, LocalStats]:
+) -> tuple[np.ndarray, LocalStats]:
     """Copy `params` and run E epochs of batched SGD with momentum.
 
     Each epoch reshuffles and splits into batches of `batch_size`; the
     short remainder batch is kept. E=0 returns the copy unchanged.
     `grad_offset`, when given, is added to every batch gradient (the
-    control-variate correction hook). Velocity starts at zero.
+    control-variate correction hook). Velocity starts at zero. Non-finite
+    parameters raise NumericError naming the first bad segment.
     """
     n = labels.shape[0]
     if n == 0:
         raise InvalidArgument("client data must be non-empty")
     # theta and the gradient buffer are only updated in place, so their
     # segment views stay valid for the whole call
-    theta = params.values.copy()
+    theta = params.copy()
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
     views, grad_views = _unpack(spec, theta), _unpack(spec, grad)
-    anchor = params.values if train.prox_mu > 0.0 else None
+    anchor = params if train.prox_mu > 0.0 else None
     prox_mu, batch, lr, momentum = train.prox_mu, train.batch_size, opt.lr, opt.momentum
     steps = 0
     loss_total = 0.0
@@ -285,15 +282,11 @@ def _local_train(
                 loss_total += loss
     # 0.0 rather than NaN for the no-step case keeps logs comparable
     mean_loss = loss_total / steps if steps else 0.0
-    return ParamVector(theta, params.layout), LocalStats(steps, mean_loss)
+    spec.check_finite(theta)
+    return theta, LocalStats(steps, mean_loss)
 
 
-def local_steps(n_samples: int, train: LocalTrainSpec) -> int:
-    """Number of SGD steps _local_train performs: E * ceil(n / B)."""
-    return train.epochs * -(-n_samples // train.batch_size)
-
-
-def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, index_set) -> float:
+def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> float:
     """Fraction of indexed samples whose argmax score equals the label.
 
     Argmax ties break toward the lowest class id.
@@ -301,6 +294,6 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, index_set) -> 
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         raise InvalidArgument("index set must be non-empty")
-    logits = _logits(spec, params.values, data.features[idx])
+    logits = _logits(spec, params, data.features[idx])
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == data.labels[idx]))

@@ -187,6 +187,12 @@ class TestExitCodes:
             ("model.layer_split", "9"),
             ("synthetic.classes", "1"),
             ("synthetic.sigma", "-1"),
+            ("federation.rounds", "1"),
+            ("algo.mu", "nan"),
+            ("train.lr", "nan"),
+            ("synthetic.sigma", "nan"),
+            ("model.init_scale", "inf"),
+            ("partition.alpha", "inf"),
         ],
     )
     def test_out_of_range_value_is_config_error(self, key, value, tmp_path, monkeypatch):

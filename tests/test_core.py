@@ -6,18 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fedsim.core import (
-    ParamVector,
-    Rng,
-    axpy,
-    dirichlet_sample,
-    hash64,
-    make_layout,
-    weighted_mean,
-)
-from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
-
-LAYOUT = make_layout([("w", 3), ("b", 2)])
+from fedsim.core import Rng, dirichlet_sample, hash64
+from fedsim.errors import IncompatibleShape, InvalidArgument
+from fedsim.federation import fuse_fedavg
 
 
 class TestRng:
@@ -243,52 +234,30 @@ class TestHash64:
         assert hash64("a", 1) != hash64(1, "a")
 
 
-class TestParamVector:
-    def test_layout_validated(self):
-        with pytest.raises(IncompatibleShape):
-            ParamVector([1.0, 2.0], LAYOUT)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(NumericError):
-            ParamVector([1.0, np.nan, 0.0, 0.0, 0.0], LAYOUT)
-
-    def test_immutable(self):
-        pv = ParamVector([1, 2, 3, 4, 5], LAYOUT)
-        with pytest.raises(ValueError):
-            pv.values[0] = 9.0
-
-    def test_segment_access(self):
-        pv = ParamVector([1, 2, 3, 4, 5], LAYOUT)
-        assert pv.segment("b").tolist() == [4.0, 5.0]
-        with pytest.raises(InvalidArgument):
-            pv.segment("nope")
-
-
 class TestWeightedMean:
+    """The size-weighted mean fuse_fedavg computes: sum(w_k * v_k) / sum(w_k)."""
+
     def test_symmetry(self):
-        lay = make_layout([("w", 1)])
-        out = weighted_mean([ParamVector([1.0], lay), ParamVector([3.0], lay)], [1, 1])
-        assert out.values.tolist() == [2.0]
+        out = fuse_fedavg([(np.array([1.0]), 1), (np.array([3.0]), 1)])
+        assert out.tolist() == [2.0]
 
     def test_size_weighted(self):
         # (1*0 + 3*4) / 4 = 3
-        lay = make_layout([("w", 1)])
-        out = weighted_mean([ParamVector([0.0], lay), ParamVector([4.0], lay)], [1, 3])
-        assert out.values.tolist() == [3.0]
+        out = fuse_fedavg([(np.array([0.0]), 1), (np.array([4.0]), 3)])
+        assert out.tolist() == [3.0]
 
     def test_single_vector_identity(self):
-        pv = ParamVector([1, 2, 3, 4, 5], LAYOUT)
-        assert weighted_mean([pv], [0.7]) == pv
+        theta = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        assert np.array_equal(fuse_fedavg([(theta, 0.7)]), theta)
 
     def test_layout_mismatch(self):
-        other = make_layout([("w", 5)])
         with pytest.raises(IncompatibleShape):
-            weighted_mean([ParamVector(np.ones(5), LAYOUT), ParamVector(np.ones(5), other)], [1, 1])
+            fuse_fedavg([(np.ones(5), 1), (np.ones(4), 1)])
 
     def test_all_zero_weights(self):
-        pv = ParamVector(np.ones(5), LAYOUT)
+        theta = np.ones(5)
         with pytest.raises(InvalidArgument):
-            weighted_mean([pv, pv], [0.0, 0.0])
+            fuse_fedavg([(theta, 0), (theta, 0)])
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -299,30 +268,8 @@ class TestWeightedMean:
         scale=st.floats(0.001, 1000),
     )
     def test_weight_scaling_invariance(self, data, weights, scale):
-        lay = make_layout([("w", 4)])
-        vecs = [ParamVector(row, lay) for row in data]
+        vecs = [np.array(row) for row in data]
         w = weights[: len(vecs)]
-        a = weighted_mean(vecs, w)
-        b = weighted_mean(vecs, [scale * x for x in w])
-        assert np.all(np.abs(a.values - b.values) <= 1e-12 * np.maximum(1.0, np.abs(a.values)))
-
-
-class TestAxpy:
-    def test_a_zero_returns_y(self):
-        x = ParamVector([1, 2, 3, 4, 5], LAYOUT)
-        y = ParamVector([5, 4, 3, 2, 1], LAYOUT)
-        assert axpy(0.0, x, y) == y
-
-    def test_arithmetic(self):
-        lay = make_layout([("w", 2)])
-        out = axpy(1.0, ParamVector([1, 2], lay), ParamVector([3, 4], lay))
-        assert out.values.tolist() == [4.0, 6.0]
-
-    def test_self_cancellation(self):
-        x = ParamVector([1, 2, 3, 4, 5], LAYOUT)
-        assert axpy(-1.0, x, x).values.tolist() == [0.0] * 5
-
-    def test_layout_mismatch(self):
-        other = make_layout([("q", 5)])
-        with pytest.raises(IncompatibleShape):
-            axpy(1.0, ParamVector(np.ones(5), LAYOUT), ParamVector(np.ones(5), other))
+        a = fuse_fedavg(list(zip(vecs, w)))
+        b = fuse_fedavg([(v, scale * x) for v, x in zip(vecs, w)])
+        assert np.all(np.abs(a - b) <= 1e-12 * np.maximum(1.0, np.abs(a)))

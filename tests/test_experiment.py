@@ -73,8 +73,9 @@ class TestLoadConfig:
         assert cfg.algorithm == "fedavg_ft"
 
     def test_preset_overridable(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, "preset = pfl1\nfederation.rounds = 7\n"))
-        assert cfg.rounds == 7
+        # pfl1 averages the last floor(0.1 * 100) = 10 rounds
+        cfg = load_config(write_config(tmp_path, "preset = pfl1\nfederation.rounds = 12\n"))
+        assert cfg.rounds == 12
         assert cfg.n_clients == 100
 
     def test_empty_file_lists_required_keys(self, tmp_path):
@@ -88,6 +89,8 @@ class TestLoadConfig:
     def test_type_mismatch_reports_expected_type(self, tmp_path):
         with pytest.raises(ConfigError, match="expected int"):
             load_config(write_config(tmp_path, TINY + "federation.rounds = soon\n"))
+        with pytest.raises(ConfigError, match="expected float"):
+            load_config(write_config(tmp_path, TINY + "train.lr = inf\n"))
 
     def test_recommended_band_warning(self, tmp_path):
         text = TINY + "federation.sample_rate = 0.5\nenforce_recommended = true\nruns = 3\n"
@@ -123,11 +126,11 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, "preset = gfl9\n"))
 
     def test_client_cap_configurable(self, tmp_path):
+        # 500 clients at C = 0.4 average the last 200 rounds
+        text = TINY + "federation.clients = 500\nfederation.rounds = 200\n"
         with pytest.raises(ConfigError, match="cap"):
-            load_config(write_config(tmp_path, TINY + "federation.clients = 500\n"))
-        cfg = load_config(
-            write_config(tmp_path, TINY + "federation.clients = 500\nmax_clients = 600\n")
-        )
+            load_config(write_config(tmp_path, text))
+        cfg = load_config(write_config(tmp_path, text + "max_clients = 600\n"))
         assert cfg.n_clients == 500
 
 
@@ -147,10 +150,30 @@ class TestSweep:
             load_config(write_config(tmp_path, text))
 
     def test_cell_cap(self, tmp_path):
-        text = TINY + "sweep.E = 1,2,3,4\nmax_cells = 3\n"
+        text = TINY + "sweep.E = 1,2,3,4\n"
         cfg = load_config(write_config(tmp_path, text))
         with pytest.raises(ConfigError, match="cap"):
-            sweep_cells(cfg)
+            sweep_cells(dataclasses.replace(cfg, max_cells=3))
+        with pytest.raises(ConfigError, match="cap"):
+            load_config(write_config(tmp_path, text + "max_cells = 3\n"))
+
+    @pytest.mark.parametrize(
+        "axis,values,match",
+        [
+            ("N", "5,0", "n_clients must be >= 1"),
+            ("N", "5,300", "cap"),
+            ("C", "0.4,0", r"sample_rate must be in \(0, 1\]"),
+            ("C", "0.4,1.5", r"sample_rate must be in \(0, 1\]"),
+            ("algorithm", "fedavg,fedsgd", "unknown algorithm 'fedsgd'"),
+            # TINY runs 3 rounds: C = 1.0 over 5 clients averages 5
+            ("C", "0.4,1.0", "evaluation window of 5 rounds"),
+            ("N", "5,10", "evaluation window of 4 rounds"),
+        ],
+    )
+    def test_every_cell_checked_at_load(self, axis, values, match, tmp_path):
+        text = TINY + f"sweep.{axis} = {values}\n"
+        with pytest.raises(ConfigError, match=match):
+            load_config(write_config(tmp_path, text))
 
     def test_single_cell_runs_and_aggregates(self, tmp_path):
         cfg = load_config(write_config(tmp_path, TINY))
@@ -464,7 +487,7 @@ ROUND_TRIP_BASE = {
     "partition.alpha": "0.3",
     "partition.shards_per_client": "2",
     "federation.clients": "10",
-    "federation.rounds": "2",
+    "federation.rounds": "3",
 }
 
 # A value per key that differs from the base config, written as
@@ -478,7 +501,7 @@ KEY_VALUES = {
     "partition.alpha": "0.2",
     "partition.shards_per_client": "3",
     "federation.clients": "12",
-    "federation.rounds": "3",
+    "federation.rounds": "4",
 }
 
 
@@ -526,6 +549,8 @@ class TestKeyTable:
         assert cfg.sweep_axes == (("E", (1, 3)), ("algorithm", ("fedavg", "solo")))
         with pytest.raises(ConfigError, match="expected int_list"):
             config_from_entries({**ROUND_TRIP_BASE, "sweep.N": "4,many"})
+        with pytest.raises(ConfigError, match="expected float_list"):
+            config_from_entries({**ROUND_TRIP_BASE, "sweep.C": "0.2,nan"})
 
     def test_unknown_axis_rejected(self):
         base = config_from_entries(ROUND_TRIP_BASE)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import balanced_dataset
-from fedsim.core import ParamVector, Rng, make_layout
-from fedsim.errors import InvalidArgument
+from fedsim.core import Rng
+from fedsim.errors import IncompatibleShape, InvalidArgument
 from fedsim.federation import (
     FederationConfig,
     ScaffoldState,
@@ -29,11 +29,8 @@ from fedsim.partition import (
     partition_iid,
 )
 
-LAY = make_layout([("w", 3)])
-
-
 def pv(*values):
-    return ParamVector(list(values), LAY)
+    return np.array(values, dtype=np.float64)
 
 
 def small_setup(n_clients=8, seed=101, kind="label-dir", alpha=0.3, per_class=40):
@@ -90,14 +87,14 @@ class TestSampleClients:
 class TestFuseFedavg:
     def test_equal_sizes_plain_average(self):
         out = fuse_fedavg([(pv(1, 2, 3), 10), (pv(3, 4, 5), 10)])
-        assert out.values.tolist() == [2.0, 3.0, 4.0]
+        assert out.tolist() == [2.0, 3.0, 4.0]
 
     def test_size_weighted(self):
         out = fuse_fedavg([(pv(0, 0, 0), 1), (pv(4, 4, 4), 3)])
-        assert out.values.tolist() == [3.0, 3.0, 3.0]
+        assert out.tolist() == [3.0, 3.0, 3.0]
 
     def test_single_participant(self):
-        assert fuse_fedavg([(pv(7, 8, 9), 5)]) == pv(7, 8, 9)
+        assert np.array_equal(fuse_fedavg([(pv(7, 8, 9), 5)]), pv(7, 8, 9))
 
     def test_brute_force_oracle_100_instances(self):
         # independent elementwise python-loop oracle
@@ -109,28 +106,28 @@ class TestFuseFedavg:
             got = fuse_fedavg(list(zip(vecs, sizes)))
             total = sum(sizes)
             for i in range(3):
-                expected = sum(v.values[i] * s for v, s in zip(vecs, sizes)) / total
-                assert abs(got.values[i] - expected) <= 1e-12
+                expected = sum(v[i] * s for v, s in zip(vecs, sizes)) / total
+                assert abs(got[i] - expected) <= 1e-12
 
     def test_layout_preserved(self):
-        out = fuse_fedavg([(pv(1, 2, 3), 2)])
-        assert out.layout == LAY
+        out = fuse_fedavg([(pv(1, 2, 3), 2), (pv(4, 5, 6), 1)])
+        assert out.shape == (3,) and out.dtype == np.float64
 
 
 class TestFuseFednova:
     def test_uniform_tau_no_momentum_equals_fedavg(self):
         g = pv(1, 1, 1)
         locals_ = [pv(2, 3, 4), pv(0, 1, 2)]
-        deltas = [ParamVector(l.values - g.values, LAY) for l in locals_]
+        deltas = [l - g for l in locals_]
         nova = fuse_fednova([(deltas[0], 10, 4), (deltas[1], 30, 4)], g, momentum=0.0)
         avg = fuse_fedavg([(locals_[0], 10), (locals_[1], 30)])
-        assert np.all(np.abs(nova.values - avg.values) <= 1e-12)
+        assert np.all(np.abs(nova - avg) <= 1e-12)
 
     def test_single_client_full_delta(self):
         g = pv(1, 1, 1)
         delta = pv(0.5, -0.5, 2.0)
         out = fuse_fednova([(delta, 17, 3)], g)
-        assert np.allclose(out.values, g.values + delta.values, atol=1e-15)
+        assert np.allclose(out, g + delta, atol=1e-15)
 
     def test_two_client_hand_oracle(self):
         # sizes (1, 3), taus (1, 2), momentum 0:
@@ -139,8 +136,8 @@ class TestFuseFednova:
         g = pv(0, 0, 0)
         d1, d2 = pv(1, 0, 2), pv(0, 4, -2)
         out = fuse_fednova([(d1, 1, 1), (d2, 3, 2)], g, momentum=0.0)
-        expected = 1.75 * (0.25 * d1.values + 0.375 * d2.values)
-        assert np.allclose(out.values, expected, atol=1e-15)
+        expected = 1.75 * (0.25 * d1 + 0.375 * d2)
+        assert np.allclose(out, expected, atol=1e-15)
 
     def test_tau_effective_momentum_formula(self):
         # sum_{j<tau}(1 - m^(tau-j)) / (1 - m) hand-evaluated for tau=3, m=0.5:
@@ -151,6 +148,10 @@ class TestFuseFednova:
     def test_zero_steps_rejected(self):
         with pytest.raises(InvalidArgument):
             fuse_fednova([(pv(1, 2, 3), 5, 0)], pv(0, 0, 0))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(IncompatibleShape):
+            fuse_fednova([(pv(1, 2), 5, 1)], pv(0, 0, 0))
 
 
 class TestScaffold:
@@ -176,7 +177,7 @@ class TestScaffold:
         r_scaf = run_federation(scaf, model, parts, train, test)
         r_avg = run_federation(avg, model, parts, train, test)
         assert np.all(
-            np.abs(r_scaf.final_global.values - r_avg.final_global.values) <= 1e-12
+            np.abs(r_scaf.final_global - r_avg.final_global) <= 1e-12
         )
 
     def test_identical_clients_keep_zero_correction(self):
@@ -206,7 +207,8 @@ class TestScaffold:
         cfg = config("scaffold", n_clients=6, rounds=4, sample_rate=0.5, momentum=0.0)
         states = _replay_scaffold_states_per_round(cfg, model, parts, train, test)
         for state in states:
-            assert np.linalg.norm(state.mean_client_variate() - state.server) <= 1e-9
+            mean_variate = sum(state.clients.values()) / len(state.clients)
+            assert np.linalg.norm(mean_variate - state.server) <= 1e-9
 
 
 def _replay_scaffold_state(cfg, model, parts, train, test):
@@ -233,13 +235,13 @@ def _replay_scaffold_states_per_round(cfg, model, parts, train, test):
                 root.substream("client", k, t), offset,
             )
             new_c = scaffold_client_variate(
-                state.clients[k], state.server, global_p.values, out.values,
+                state.clients[k], state.server, global_p, out,
                 stats.steps, cfg.lr,
             )
-            delta += out.values - global_p.values
+            delta += out - global_p
             variate_delta += new_c - state.clients[k]
             state.clients[k] = new_c
-        global_p = ParamVector(global_p.values + delta / len(selected), global_p.layout)
+        global_p = global_p + delta / len(selected)
         state.server = state.server + variate_delta / cfg.n_clients
         states.append(ScaffoldState(state.server.copy(), {k: v.copy() for k, v in state.clients.items()}))
     return states
@@ -269,7 +271,7 @@ class TestProtocolIdentities:
         r1 = run_federation(dec, model, parts, train, test)
         r2 = run_federation(avg, model, parts, train, test)
         assert r1.round_logs == r2.round_logs
-        assert r1.final_global == r2.final_global
+        assert np.array_equal(r1.final_global, r2.final_global)
 
     def test_clustered_single_cluster_is_fedavg(self):
         train, test, parts, model = small_setup()
@@ -278,7 +280,7 @@ class TestProtocolIdentities:
         r1 = run_federation(clu, model, parts, train, test)
         r2 = run_federation(avg, model, parts, train, test)
         assert r1.round_logs == r2.round_logs
-        assert r1.final_global == r2.final_global
+        assert np.array_equal(r1.final_global, r2.final_global)
 
     def test_fedavg_ft_rounds_match_fedavg(self):
         train, test, parts, model = small_setup()
@@ -287,7 +289,7 @@ class TestProtocolIdentities:
         r1 = run_federation(ft, model, parts, train, test)
         r2 = run_federation(avg, model, parts, train, test)
         assert r1.round_logs == r2.round_logs
-        assert r1.final_global == r2.final_global
+        assert np.array_equal(r1.final_global, r2.final_global)
         assert len(r1.final_personal) == 8 and not r2.final_personal
 
     def test_fednova_equal_clients_matches_fedavg(self):
@@ -299,7 +301,7 @@ class TestProtocolIdentities:
         avg = dataclasses.replace(nova, algorithm="fedavg")
         r1 = run_federation(nova, model, parts, train, test)
         r2 = run_federation(avg, model, parts, train, test)
-        assert np.allclose(r1.final_global.values, r2.final_global.values, atol=1e-12)
+        assert np.allclose(r1.final_global, r2.final_global, atol=1e-12)
 
     def test_fednova_unequal_sizes_diverges_from_fedavg(self):
         train, test, parts, model = small_setup(n_clients=8, kind="label-dir")
@@ -307,7 +309,7 @@ class TestProtocolIdentities:
         avg = dataclasses.replace(nova, algorithm="fedavg")
         r1 = run_federation(nova, model, parts, train, test)
         r2 = run_federation(avg, model, parts, train, test)
-        assert not np.array_equal(r1.final_global.values, r2.final_global.values)
+        assert not np.array_equal(r1.final_global, r2.final_global)
 
 
 class TestRunFederation:
@@ -325,7 +327,7 @@ class TestRunFederation:
             model, start, x, y, local, OptState(cfg.lr, cfg.momentum),
             root.substream("client", 0, 0),
         )
-        assert result.final_global == expected
+        assert np.array_equal(result.final_global, expected)
 
     def test_round_log_shape(self):
         train, test, parts, model = small_setup()
@@ -392,17 +394,21 @@ class TestRunFederation:
         assert groups == {(0, 1), (2, 3)}
 
     def test_every_algorithm_preserves_layout(self):
+        # every model a run returns is a finite flat float64 vector in
+        # the layout ModelSpec describes
         from fedsim.federation import ALGORITHMS
 
         train, test, parts, model = small_setup(n_clients=4, kind="iid")
-        expected = model.layout()
         for algo in ALGORITHMS:
             cfg = config(algo, n_clients=4, rounds=2, momentum=0.0)
             result = run_federation(cfg, model, parts, train, test)
+            models = [*result.final_personal.values(), *(result.final_clusters or [])]
             if result.final_global is not None:
-                assert result.final_global.layout == expected
-            for pv in result.final_personal.values():
-                assert pv.layout == expected
+                models.append(result.final_global)
+            assert models, algo
+            for theta in models:
+                assert theta.dtype == np.float64 and theta.shape == (model.n_params(),)
+                assert np.isfinite(theta).all()
 
     def test_decoupled_personal_models_differ_in_head(self):
         train, test, parts, _ = small_setup()
@@ -410,9 +416,9 @@ class TestRunFederation:
         cfg = config("decoupled", rounds=4)
         result = run_federation(cfg, model, parts, train, test)
         boundary = model.local_boundary()
-        bodies = {k: p.values[:boundary].tobytes() for k, p in result.final_personal.items()}
+        bodies = {k: p[:boundary].tobytes() for k, p in result.final_personal.items()}
         assert len(set(bodies.values())) == 1  # shared global body
-        heads = {k: p.values[boundary:].tobytes() for k, p in result.final_personal.items()}
+        heads = {k: p[boundary:].tobytes() for k, p in result.final_personal.items()}
         assert len(set(heads.values())) > 1  # personal heads
 
 
@@ -422,7 +428,7 @@ class TestFineTune:
         start = init_params(model, Rng(1))
         data = _ClientData(train, parts)
         personal = _fine_tune_data(start, model, data, 0, 10, OptState(0.05, 0.9), Rng(2))
-        assert all(personal[k] == start for k in range(4))
+        assert all(np.array_equal(personal[k], start) for k in range(4))
 
     def test_deterministic(self):
         train, test, parts, model = small_setup(n_clients=4, kind="iid")
@@ -431,7 +437,7 @@ class TestFineTune:
         opt = OptState(0.05, 0.9)
         a = _fine_tune_data(start, model, data, 3, 10, opt, Rng(5))
         b = _fine_tune_data(start, model, data, 3, 10, opt, Rng(5))
-        assert all(a[k] == b[k] for k in a)
+        assert all(np.array_equal(a[k], b[k]) for k in a)
 
     def test_identical_data_and_stream_identical_models(self):
         train, test, parts, model = small_setup(n_clients=4, kind="iid")
@@ -442,7 +448,7 @@ class TestFineTune:
         spec = LocalTrainSpec(3, 10)
         a, _ = _local_train(model, start, x, y, spec, opt, Rng(9).substream("ft", 0))
         b, _ = _local_train(model, start, x, y, spec, opt, Rng(9).substream("ft", 0))
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_fine_tuning_lifts_personal_accuracy_under_skew(self):
         # the personalization premise: under label skew, locally tuned

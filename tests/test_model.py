@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import balanced_dataset
-from fedsim.core import ParamVector, Rng
+from fedsim.core import Rng
 from fedsim.errors import InvalidArgument, NumericError
 from fedsim.model import (
     LocalTrainSpec,
@@ -11,8 +11,8 @@ from fedsim.model import (
     _local_train,
     evaluate,
     forward_loss_grad,
+    _unpack,
     init_params,
-    local_steps,
 )
 
 LOGREG = ModelSpec("logreg", n_features=4, n_classes=3)
@@ -48,15 +48,18 @@ def train(spec, params, batch, local, opt, rng, grad_offset=None):
 class TestInit:
     def test_zero_scale_gives_zero_vector(self):
         spec = ModelSpec("logreg", 4, 3, init_scale=0.0)
-        assert np.all(init_params(spec, Rng(1)).values == 0.0)
+        assert np.all(init_params(spec, Rng(1)) == 0.0)
 
     def test_logreg_layout_shapes(self):
-        pv = init_params(LOGREG, Rng(2))
-        assert [(s.name, s.length) for s in pv.layout] == [("w", 12), ("b", 3)]
+        assert init_params(LOGREG, Rng(2)).shape == (15,)
+        assert [(name, stop - start) for name, start, stop, _ in LOGREG._view_plan] == [
+            ("w", 12),
+            ("b", 3),
+        ]
 
     def test_mlp_layout_shapes(self):
-        pv = init_params(MLP, Rng(2))
-        assert [(s.name, s.length) for s in pv.layout] == [
+        assert init_params(MLP, Rng(2)).shape == (43,)
+        assert [(name, stop - start) for name, start, stop, _ in MLP._view_plan] == [
             ("w1", 20),
             ("b1", 5),
             ("w2", 15),
@@ -65,14 +68,30 @@ class TestInit:
 
     def test_biases_zero_weights_bounded(self):
         spec = ModelSpec("mlp", 4, 3, hidden=5, init_scale=0.05)
-        pv = init_params(spec, Rng(3))
-        assert np.all(pv.segment("b1") == 0.0)
-        assert np.all(np.abs(pv.segment("w1")) <= 0.05)
+        w1, b1, w2, b2 = _unpack(spec, init_params(spec, Rng(3)))
+        assert np.all(b1 == 0.0) and np.all(b2 == 0.0)
+        assert np.all(np.abs(w1) <= 0.05) and np.all(np.abs(w2) <= 0.05)
 
     def test_deterministic(self):
         a = init_params(MLP, Rng(4))
         b = init_params(MLP, Rng(4))
-        assert a == b
+        assert np.array_equal(a, b)
+
+
+class TestCheckFinite:
+    def test_names_the_bad_segment(self):
+        theta = init_params(MLP, Rng(5))
+        MLP.check_finite(theta)
+        _, start, stop, _ = MLP._view_plan[1]  # b1
+        theta[start + 2] = np.nan
+        theta[-1] = np.inf  # b2, a later segment
+        with pytest.raises(NumericError, match=r"non-finite value in segment b1$"):
+            MLP.check_finite(theta)
+
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, -0.1])
+    def test_init_scale_must_be_finite_and_non_negative(self, scale):
+        with pytest.raises(InvalidArgument, match="init_scale"):
+            ModelSpec("logreg", 4, 3, init_scale=scale)
 
 
 class TestForwardLossGrad:
@@ -89,7 +108,7 @@ class TestForwardLossGrad:
 
     def test_prox_zero_at_anchor(self):
         x, y = random_batch(Rng(6), 8, LOGREG)
-        theta = init_params(LOGREG, Rng(7)).values
+        theta = init_params(LOGREG, Rng(7))
         plain_loss, plain_grad = forward_loss_grad(LOGREG, theta, x, y)
         prox_loss, prox_grad = forward_loss_grad(LOGREG, theta, x, y, anchor=theta, prox_mu=0.5)
         assert prox_loss == pytest.approx(plain_loss, abs=1e-15)
@@ -97,7 +116,7 @@ class TestForwardLossGrad:
 
     def test_anchor_required_iff_prox(self):
         x, y = random_batch(Rng(6), 4, LOGREG)
-        theta = init_params(LOGREG, Rng(7)).values
+        theta = init_params(LOGREG, Rng(7))
         with pytest.raises(InvalidArgument):
             forward_loss_grad(LOGREG, theta, x, y, anchor=None, prox_mu=0.1)
         with pytest.raises(InvalidArgument):
@@ -112,13 +131,13 @@ class TestForwardLossGrad:
             theta = init_params(
                 ModelSpec(spec.kind, 4, 3, hidden=spec.hidden, init_scale=0.5),
                 Rng(100 + trial),
-            ).values
+            )
             batch = random_batch(meta, 2 + meta.randbelow(6), spec)
             if trial % 3 == 0:
                 anchor = init_params(
                     ModelSpec(spec.kind, 4, 3, hidden=spec.hidden, init_scale=0.5),
                     Rng(200 + trial),
-                ).values
+                )
                 prox = 0.2
             else:
                 anchor, prox = None, 0.0
@@ -132,7 +151,7 @@ class TestForwardLossGrad:
 
         x, _ = random_batch(Rng(9), 32, MLP)
         params = init_params(MLP, Rng(10))
-        probs = _softmax(_logits(MLP, params.values, x))
+        probs = _softmax(_logits(MLP, params, x))
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_numeric_error_names_segment(self):
@@ -143,7 +162,7 @@ class TestForwardLossGrad:
             forward_loss_grad(LOGREG, huge, x, y)
 
     def test_returned_gradient_not_reused(self):
-        theta = init_params(MLP, Rng(12)).values
+        theta = init_params(MLP, Rng(12))
         x1, y1 = random_batch(Rng(13), 6, MLP)
         x2, y2 = random_batch(Rng(14), 6, MLP)
         _, g1 = forward_loss_grad(MLP, theta, x1, y1)
@@ -154,7 +173,7 @@ class TestForwardLossGrad:
         assert not np.array_equal(g1, g2)
 
     def test_empty_batch_rejected(self):
-        theta = init_params(LOGREG, Rng(13)).values
+        theta = init_params(LOGREG, Rng(13))
         with pytest.raises(InvalidArgument):
             forward_loss_grad(LOGREG, theta, np.zeros((0, 4)), np.zeros(0, dtype=int))
 
@@ -165,19 +184,19 @@ class TestSgdStep:
     def test_plain_sgd_without_momentum(self):
         params = init_params(LOGREG, Rng(14))
         x, y = random_batch(Rng(15), 8, LOGREG)
-        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
+        _, grad = forward_loss_grad(LOGREG, params, x, y)
         # one full-batch epoch is one step on a reshuffled copy of the batch
         new = train(LOGREG, params, (x, y), LocalTrainSpec(1, 8), OptState(0.1, 0.0), Rng(1))
-        assert np.allclose(new.values, params.values - 0.1 * grad, atol=1e-15)
+        assert np.allclose(new, params - 0.1 * grad, atol=1e-15)
 
     def test_zero_grad_zero_velocity_no_move(self):
         # a one-sample batch has no reshuffle, so an offset of minus its
         # gradient cancels it exactly; velocity starts at zero
         params = init_params(LOGREG, Rng(16))
         x, y = random_batch(Rng(15), 1, LOGREG)
-        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
+        _, grad = forward_loss_grad(LOGREG, params, x, y)
         new = train(LOGREG, params, (x, y), LocalTrainSpec(1, 1), OptState(0.1, 0.9), Rng(1), -grad)
-        assert new == params
+        assert np.array_equal(new, params)
 
     def test_two_momentum_steps_hand_unrolled(self):
         # E=2 full-batch epochs: v1 = g0, p1 = p0 - eta*v1;
@@ -185,12 +204,12 @@ class TestSgdStep:
         params = init_params(LOGREG, Rng(17))
         x, y = random_batch(Rng(18), 12, LOGREG)
         eta, beta = 0.05, 0.9
-        _, g0 = forward_loss_grad(LOGREG, params.values, x, y)
-        p1 = params.values - eta * g0
+        _, g0 = forward_loss_grad(LOGREG, params, x, y)
+        p1 = params - eta * g0
         _, g1 = forward_loss_grad(LOGREG, p1, x, y)
         expected = p1 - eta * (beta * g0 + g1)
         out = train(LOGREG, params, (x, y), LocalTrainSpec(2, 12), OptState(eta, beta), Rng(2))
-        assert np.allclose(out.values, expected, atol=1e-14)
+        assert np.allclose(out, expected, atol=1e-14)
 
     def test_loss_descent_small_step(self):
         # One eta=1e-3 full-batch step must not increase the loss.
@@ -202,9 +221,9 @@ class TestSgdStep:
                 Rng(300 + trial),
             )
             x, y = random_batch(meta, 16, spec)
-            loss0, _ = forward_loss_grad(spec, params.values, x, y)
+            loss0, _ = forward_loss_grad(spec, params, x, y)
             new = train(spec, params, (x, y), LocalTrainSpec(1, 16), OptState(1e-3, 0.0), Rng(trial))
-            loss1, _ = forward_loss_grad(spec, new.values, x, y)
+            loss1, _ = forward_loss_grad(spec, new, x, y)
             assert loss1 <= loss0 + 1e-12
 
 
@@ -219,15 +238,15 @@ class TestClientUpdate:
         out, stats = _local_train(
             LOGREG, params, *self._data(), LocalTrainSpec(0, 4), OptState(0.1, 0.9), Rng(1)
         )
-        assert out == params
+        assert np.array_equal(out, params)
         assert (stats.steps, stats.mean_loss) == (0, 0.0)
 
     def test_single_full_batch_epoch_equals_one_step(self):
         x, y = self._data()
         params = init_params(LOGREG, Rng(22))
         out = train(LOGREG, params, (x, y), LocalTrainSpec(1, 50), OptState(0.05, 0.0), Rng(2))
-        _, grad = forward_loss_grad(LOGREG, params.values, x, y)
-        assert np.allclose(out.values, params.values - 0.05 * grad, atol=1e-15)
+        _, grad = forward_loss_grad(LOGREG, params, x, y)
+        assert np.allclose(out, params - 0.05 * grad, atol=1e-15)
 
     def test_deterministic_rerun(self):
         x, y = self._data()
@@ -235,7 +254,7 @@ class TestClientUpdate:
         opt = OptState(0.05, 0.9)
         a = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         b = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
-        assert a == b
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
     @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
@@ -248,9 +267,9 @@ class TestClientUpdate:
         local, opt = LocalTrainSpec(3, 5, prox_mu), OptState(0.05, 0.9)
         out, stats = _local_train(spec, params, x, y, local, opt, Rng(4), offset)
 
-        rng, theta = Rng(4), params.values.copy()
+        rng, theta = Rng(4), params.copy()
         vel = np.zeros_like(theta)
-        anchor = params.values if prox_mu > 0.0 else None
+        anchor = params if prox_mu > 0.0 else None
         losses = []
         for _ in range(local.epochs):
             order = rng.permutation(len(y))
@@ -261,27 +280,26 @@ class TestClientUpdate:
                 vel = opt.momentum * vel + grad
                 theta -= opt.lr * vel
                 losses.append(loss)
-        assert np.array_equal(out.values, theta)
+        assert np.array_equal(out, theta)
         assert stats.steps == len(losses) == 15
         assert stats.mean_loss == sum(losses) / len(losses)
 
     def test_diverging_lr_raises_numeric_error(self):
         x, y = self._data()
         params = init_params(LOGREG, Rng(27))
-        before = params.values.copy()
+        before = params.copy()
         with pytest.raises(NumericError, match=r"segment (w|b)\b"):
             _local_train(LOGREG, params, x, y, LocalTrainSpec(5, 4), OptState(1e308, 0.9), Rng(5))
-        assert np.array_equal(params.values, before)
+        assert np.array_equal(params, before)
 
     def test_short_remainder_batch_kept(self):
         x, y = self._data(n=10)
-        assert local_steps(10, LocalTrainSpec(1, 4)) == 3  # 4 + 4 + 2
         params = init_params(LOGREG, Rng(24))
         out, stats = _local_train(
             LOGREG, params, x, y, LocalTrainSpec(1, 4), OptState(0.05, 0.0), Rng(3)
         )
-        assert stats.steps == 3
-        assert not np.array_equal(out.values, params.values)
+        assert stats.steps == 3  # 4 + 4 + 2
+        assert not np.array_equal(out, params)
 
 
 class TestEvaluate:
@@ -303,7 +321,7 @@ class TestEvaluate:
         w = np.zeros((6, 3))
         for c in range(3):
             w[c, c] = 10.0
-        params = ParamVector(np.concatenate([w.ravel(), np.zeros(3)]), spec.layout())
+        params = np.concatenate([w.ravel(), np.zeros(3)])
         assert evaluate(spec, params, test, np.arange(test.n_samples)) == 1.0
 
     def test_additive_over_disjoint_index_sets(self):
