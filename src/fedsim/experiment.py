@@ -192,6 +192,9 @@ class ExperimentConfig:
             raise ConfigError("dataset = mnist requires mnist_dir")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        # with no local steps no client trains, and fednova rejects the run
+        if self.epochs < 1:
+            raise ConfigError("train.epochs must be >= 1")
         if self.n_clients > self.max_clients:
             raise ConfigError(
                 f"{self.n_clients} clients exceeds the desk-scale cap of "
@@ -395,14 +398,10 @@ def _check_recommended(cfg: ExperimentConfig) -> None:
 
 def _validate_sweep_axes(cfg: ExperimentConfig) -> None:
     for axis, values in cfg.sweep_axes:
-        if not values:
-            raise ConfigError(f"sweep axis {axis} has no values")
         if axis == "alpha" and cfg.partition_kind not in ("label-dir", "quantity-dir"):
             raise ConfigError("sweep.alpha requires a Dirichlet partition kind")
         if axis == "p" and cfg.partition_kind != "label-skew":
             raise ConfigError("sweep.p requires partition.kind = label-skew")
-        if axis == "E" and any(v < 1 for v in values):
-            raise ConfigError("sweep.E values must be >= 1")
         if axis in ("alpha", "p") and any(v <= 0 for v in values):
             raise ConfigError(f"sweep.{axis} values must be > 0")
 

@@ -5,8 +5,10 @@ Global algorithms: fedavg, fedprox (proximal local objective), fednova
 fedavg_ft (post-hoc fine-tuning), decoupled (local classifier head),
 clustered (lowest-loss cluster assignment), solo (no federation).
 
-Within a round, clients train one after another in client-id order,
-each on its own random substream, and fusion consumes them in that order.
+Within a round, the selected clients train together in one stacked
+`_local_train` call, each on its own random substream; a client's
+result does not depend on which clients share the stack or their
+order. Fusion consumes the results in client-id order.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .model import (
     ModelSpec,
     OptState,
     _local_train,
+    _stacked_loss_grad,
     evaluate,
-    forward_loss_grad,
     init_params,
 )
 from .partition import ClientPartition
@@ -267,10 +269,10 @@ def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndar
     return theta
 
 
-def _stats_tuple(selected, results, sizes) -> tuple[ClientRoundStat, ...]:
+def _stats_tuple(selected, stats, sizes) -> tuple[ClientRoundStat, ...]:
     return tuple(
-        ClientRoundStat(k, sizes[k], results[k][1].steps, results[k][1].mean_loss)
-        for k in selected
+        ClientRoundStat(k, sizes[k], steps, loss)
+        for k, steps, loss in zip(selected, stats.client_steps, stats.mean_losses)
     )
 
 
@@ -298,38 +300,34 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
         selected = sample_clients(
             root.substream("sample", t), config.n_clients, config.sample_rate
         )
-        results = {
-            k: _local_train(
-                model_spec,
-                _with_head(global_p, heads[k], boundary) if decoupled else global_p,
-                data.features[k],
-                data.labels[k],
-                train_spec,
-                opt,
-                root.substream("client", k, t),
-                scaffold.server - scaffold.clients[k] if scaffold else None,
-            )
-            for k in selected
-        }
+        trained, stats = _local_train(
+            model_spec,
+            [_with_head(global_p, heads[k], boundary) if decoupled else global_p for k in selected],
+            [data.features[k] for k in selected],
+            [data.labels[k] for k in selected],
+            train_spec,
+            opt,
+            [root.substream("client", k, t) for k in selected],
+            [scaffold.server - scaffold.clients[k] for k in selected] if scaffold else None,
+        )
 
         if algo == "fednova":
             updates = [
-                (results[k][0] - global_p, data.sizes[k], results[k][1].steps)
-                for k in selected
+                (local_p - global_p, data.sizes[k], steps)
+                for k, local_p, steps in zip(selected, trained, stats.client_steps)
             ]
             global_p = fuse_fednova(updates, global_p, config.momentum)
         elif algo == "scaffold":
             delta = np.zeros(len(global_p))
             variate_delta = np.zeros(len(global_p))
-            for k in selected:
-                local_p = results[k][0]
+            for k, local_p, steps in zip(selected, trained, stats.client_steps):
                 delta += local_p - global_p
                 new_c = scaffold_client_variate(
                     scaffold.clients[k],
                     scaffold.server,
                     global_p,
                     local_p,
-                    results[k][1].steps,
+                    steps,
                     config.lr,
                 )
                 variate_delta += new_c - scaffold.clients[k]
@@ -338,16 +336,16 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
             global_p = global_p + delta / m
             scaffold.server = scaffold.server + variate_delta / config.n_clients
         else:
-            fused = fuse_fedavg([(results[k][0], data.sizes[k]) for k in selected])
+            fused = fuse_fedavg([(local_p, data.sizes[k]) for k, local_p in zip(selected, trained)])
             if decoupled:
-                for k in selected:
-                    heads[k] = results[k][0][boundary:].copy()
+                for k, local_p in zip(selected, trained):
+                    heads[k] = local_p[boundary:].copy()
             global_p = fused
         model_spec.check_finite(global_p)
 
         acc = evaluate(model_spec, global_p, test, test_idx)
         logs.append(
-            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, results, data.sizes))
+            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, stats, data.sizes))
         )
 
     personal: dict[int, np.ndarray] = {}
@@ -376,18 +374,24 @@ def _fine_tune_data(
     identical copies of the global model.
     """
     spec = LocalTrainSpec(epochs=ft_epochs, batch_size=batch_size)
-    return {
-        k: _local_train(
-            model_spec, global_params, data.features[k], data.labels[k],
-            spec, opt, root.substream("ft", k),
-        )[0]
-        for k in range(len(data.sizes))
-    }
+    clients = range(len(data.sizes))
+    trained, _ = _local_train(
+        model_spec, [global_params] * len(clients), data.features, data.labels, spec, opt,
+        [root.substream("ft", k) for k in clients],
+    )
+    return dict(zip(clients, trained))
 
 
 def assign_cluster(model_spec, clusters, x, y) -> int:
-    """Lowest-train-loss cluster, ties toward the lowest cluster id."""
-    losses = [forward_loss_grad(model_spec, c, x, y)[0] for c in clusters]
+    """Lowest-train-loss cluster, ties toward the lowest cluster id.
+
+    The k clusters are scored as one stack, each on all of (x, y).
+    """
+    k = len(clusters)
+    losses, _ = _stacked_loss_grad(
+        model_spec, np.array(clusters), np.broadcast_to(x, (k, *x.shape)),
+        np.broadcast_to(y, (k, *y.shape)), None, 0.0,
+    )
     return int(np.argmin(losses))
 
 
@@ -405,22 +409,24 @@ def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
             k: assign_cluster(model_spec, clusters, data.features[k], data.labels[k])
             for k in selected
         }
-        results = {
-            k: _local_train(
-                model_spec, clusters[assignment[k]], data.features[k], data.labels[k],
-                config.local, opt, root.substream("client", k, t),
-            )
-            for k in selected
-        }
+        trained, stats = _local_train(
+            model_spec, [clusters[assignment[k]] for k in selected],
+            [data.features[k] for k in selected], [data.labels[k] for k in selected],
+            config.local, opt, [root.substream("client", k, t) for k in selected],
+        )
         for j in range(config.n_clusters):
-            members = [k for k in selected if assignment[k] == j]
+            members = [
+                (local_p, data.sizes[k])
+                for k, local_p in zip(selected, trained)
+                if assignment[k] == j
+            ]
             if members:
-                clusters[j] = fuse_fedavg([(results[k][0], data.sizes[k]) for k in members])
+                clusters[j] = fuse_fedavg(members)
                 model_spec.check_finite(clusters[j])
         cluster_accs = [evaluate(model_spec, c, test, test_idx) for c in clusters]
         acc = max(cluster_accs)
         logs.append(
-            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, results, data.sizes))
+            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, stats, data.sizes))
         )
     final_accs = [evaluate(model_spec, c, test, test_idx) for c in clusters]
     best = int(np.argmax(final_accs))
@@ -439,24 +445,20 @@ def _run_solo(config, model_spec, data, test, root, opt) -> RunResult:
     test set (there is no shared model).
     """
     init = init_params(model_spec, root.substream("init", 0))
-    models = {k: init for k in range(config.n_clients)}
+    selected = tuple(range(config.n_clients))
+    models = [init] * config.n_clients
     test_idx = np.arange(test.n_samples)
     logs: list[RoundLog] = []
     for t in range(config.rounds):
-        results = {
-            k: _local_train(
-                model_spec, models[k], data.features[k], data.labels[k],
-                config.local, opt, root.substream("client", k, t),
-            )
-            for k in range(config.n_clients)
-        }
-        models = {k: results[k][0] for k in results}
-        accs = [evaluate(model_spec, models[k], test, test_idx) for k in sorted(models)]
-        selected = tuple(range(config.n_clients))
+        models, stats = _local_train(
+            model_spec, models, data.features, data.labels, config.local, opt,
+            [root.substream("client", k, t) for k in selected],
+        )
+        accs = [evaluate(model_spec, theta, test, test_idx) for theta in models]
         logs.append(
             RoundLog(
                 t, selected, len(selected), float(np.mean(accs)),
-                _stats_tuple(selected, results, data.sizes),
+                _stats_tuple(selected, stats, data.sizes),
             )
         )
-    return RunResult(logs, None, models)
+    return RunResult(logs, None, dict(zip(selected, models)))

@@ -184,24 +184,27 @@ def newcomer_protocol(
     local = LocalTrainSpec(epochs=epochs, batch_size=config.local.batch_size)
     opt = OptState(config.lr, config.momentum)
     root = Rng(config.seed)
-    per_newcomer = {}
     by_id = {p.client_id: p for p in partitions}
-    for cid in newcomers:
-        part = by_id[cid]
-        x = train.features[part.train_indices]
-        y = train.labels[part.train_indices]
-        if config.algorithm == "clustered":
-            start = result.final_clusters[assign_cluster(model_spec, result.final_clusters, x, y)]
-        else:
-            start = result.final_global
-        adapted, _ = _local_train(
-            model_spec, start, x, y, local, opt, root.substream("newcomer-ft", cid)
-        )
+    parts = [by_id[cid] for cid in newcomers]
+    xs = [train.features[part.train_indices] for part in parts]
+    ys = [train.labels[part.train_indices] for part in parts]
+    if config.algorithm == "clustered":
+        clusters = result.final_clusters
+        starts = [clusters[assign_cluster(model_spec, clusters, x, y)] for x, y in zip(xs, ys)]
+    else:
+        starts = [result.final_global] * len(newcomers)
+    # every newcomer adapts in one stacked call, each on its own substream
+    adapted, _ = _local_train(
+        model_spec, starts, xs, ys, local, opt,
+        [root.substream("newcomer-ft", cid) for cid in newcomers],
+    )
+    per_newcomer = {}
+    for cid, part, theta in zip(newcomers, parts, adapted):
         idx = (
             part.test_indices
             if part.test_indices is not None
             else allocate_local_test(test, part.owned_classes)
         )
-        per_newcomer[cid] = evaluate(model_spec, adapted, test, idx)
+        per_newcomer[cid] = evaluate(model_spec, theta, test, idx)
     accuracy = float(np.mean([per_newcomer[c] for c in newcomers]))
     return NewcomerResult(accuracy, newcomers, per_newcomer, result)

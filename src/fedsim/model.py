@@ -5,7 +5,8 @@ logistic regression and a one-hidden-layer ReLU MLP. Losses are mean
 cross-entropy, optionally augmented with a proximal L2 pull toward an
 anchor vector. The local-training loop mirrors the per-round client
 procedure: reshuffle each epoch, split into batches, step with SGD
-momentum.
+momentum. It trains a list of clients at once as one parameter stack,
+with results bit-identical to training each client alone.
 """
 
 from __future__ import annotations
@@ -117,8 +118,11 @@ def init_params(spec: ModelSpec, rng: Rng) -> np.ndarray:
 
 
 def _unpack(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
-    """Per-segment views of a flat vector, shaped for the maths."""
-    return [theta[start:stop].reshape(shape) for _, start, stop, shape in spec._view_plan]
+    """Per-segment views of a flat vector or a (c, P) stack, shaped for the maths."""
+    lead = theta.shape[:-1]
+    return [
+        theta[..., start:stop].reshape(lead + shape) for _, start, stop, shape in spec._view_plan
+    ]
 
 
 def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -131,10 +135,10 @@ def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the logits, computed in place in `z`."""
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    """Softmax along the last axis of the logits, computed in place in `z`."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -156,14 +160,23 @@ def forward_loss_grad(
         raise InvalidArgument("batch must be non-empty")
     if (anchor is not None) != (prox_mu > 0.0):
         raise InvalidArgument("anchor must be supplied iff prox_mu > 0")
+    losses, grad = _stacked_loss_grad(
+        spec, theta[None], x[None], y[None], None if anchor is None else anchor[None], prox_mu
+    )
+    return float(losses[0]), grad[0]
+
+
+def _stacked_loss_grad(spec, theta, x, y, anchor, prox_mu) -> tuple[np.ndarray, np.ndarray]:
+    """`_loss_grad_into` on a (c, P) stack into a new gradient stack, checked."""
     grad = np.empty_like(theta)
     # non-finite values are detected explicitly; silence numpy's overflow
     # warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
-        loss = _loss_grad_into(
+        losses = _loss_grad_into(
             spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x, y, anchor, prox_mu
         )
-    return loss, grad
+    _check_step(spec, losses, grad, theta)
+    return losses, grad
 
 
 def _loss_grad_into(
@@ -176,15 +189,21 @@ def _loss_grad_into(
     y: np.ndarray,
     anchor: np.ndarray | None,
     prox_mu: float,
-) -> float:
-    """forward_loss_grad without its argument checks, writing into `grad`.
+) -> np.ndarray:
+    """Each client's loss and gradient for a stack of c clients on r rows each.
 
-    `views` and `grad_views` are `_unpack` of `theta` and `grad`. Callers
-    hold the checks' conditions (non-empty batch, anchor iff prox_mu > 0)
-    and silence numpy's floating-point warnings.
+    `theta`, `grad` and `anchor` are (c, P) stacks, `views` and
+    `grad_views` the `_unpack` of `theta` and `grad`, `x` is (c, r, F)
+    and `y` (c, r). Writes the gradients into `grad` and returns the c
+    losses. A stacked matmul makes, slice by slice, the BLAS call the
+    2D product makes, and every reduction runs within one client, so
+    each client's numbers equal a c = 1 call bit for bit. Batches must
+    not be zero-padded to a common r: that changes the BLAS kernel and
+    tiling, and with them the rounding. Callers hold forward_loss_grad's
+    argument checks, silence numpy's floating-point warnings and run
+    `_check_step`.
     """
-    n = x.shape[0]
-    rows = np.arange(n)
+    c, r = y.shape
     # `a` is the input of the output layer (w, b): x itself for logreg
     if spec.kind == "logreg":
         w, b = views
@@ -192,98 +211,181 @@ def _loss_grad_into(
     else:
         w1, b1, w, b = views
         pre = x @ w1
-        pre += b1
+        pre += b1[:, None]
         a = np.maximum(pre, 0.0)
     z = a @ w
-    z += b
+    z += b[:, None]
     dz = _softmax(z)
-    p_true = dz[rows, y]
-    dz[rows, y] -= 1.0
-    dz /= n
+    # flat offsets of each (client, sample) pair's true-class entry
+    true_class = np.arange(0, dz.size, dz.shape[-1])
+    true_class += y.reshape(-1)
+    dz_flat = dz.reshape(-1)
+    p_true = dz_flat.take(true_class)
+    dz_flat[true_class] = p_true - 1.0
+    dz /= r
     gw, gb = grad_views[-2:]
-    np.matmul(a.T, dz, out=gw)
-    np.add.reduce(dz, axis=0, out=gb)
+    np.matmul(a.transpose(0, 2, 1), dz, out=gw)
+    np.add.reduce(dz, axis=1, out=gb)
     if spec.kind == "mlp":
-        dh = dz @ w.T
+        dh = dz @ w.transpose(0, 2, 1)
         dh *= pre > 0.0
         gw1, gb1 = grad_views[:2]
-        np.matmul(x.T, dh, out=gw1)
-        np.add.reduce(dh, axis=0, out=gb1)
+        np.matmul(x.transpose(0, 2, 1), dh, out=gw1)
+        np.add.reduce(dh, axis=1, out=gb1)
     # the floor avoids log(0) for saturated probabilities; the sign flip
-    # after the sum is exact, so this is the mean of -log p
-    loss = float(-np.add.reduce(np.log(np.maximum(p_true, 1e-300))) / n)
+    # after each client's sum is exact, so this is the mean of -log p
+    losses = -np.add.reduce(np.log(np.maximum(p_true.reshape(c, r), 1e-300)), axis=1) / r
     if prox_mu > 0.0:
         diff = theta - anchor
-        loss += 0.5 * prox_mu * float(diff @ diff)
+        for i, d in enumerate(diff):
+            losses[i] += 0.5 * prox_mu * float(d @ d)
         grad += prox_mu * diff
-    if not math.isfinite(loss) or not np.isfinite(grad).all():
-        # name the first bad segment of the gradient, else of the parameters
-        spec.check_finite(grad)
-        spec.check_finite(theta)
-        raise NumericError("non-finite loss")
-    return loss
+    return losses
+
+
+def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np.ndarray) -> None:
+    """Raise NumericError for the first client of a stack with a non-finite
+    loss or gradient, naming its first bad gradient segment, else its
+    first bad parameter segment."""
+    if np.isfinite(grad).all() and np.isfinite(losses).all():
+        return
+    i = int(np.argmin(np.isfinite(grad).all(axis=1) & np.isfinite(losses)))
+    spec.check_finite(grad[i])
+    spec.check_finite(theta[i])
+    raise NumericError("non-finite loss")
 
 
 @dataclass(frozen=True)
 class LocalStats:
-    steps: int
-    mean_loss: float
+    """What one `_local_train` call did; per-client fields in input order."""
+
+    steps: int  # SGD steps summed over the call's clients
+    client_steps: tuple[int, ...]
+    mean_losses: tuple[float, ...]
 
 
 def _local_train(
     spec: ModelSpec,
-    params: np.ndarray,
-    features: np.ndarray,
-    labels: np.ndarray,
+    starts: list[np.ndarray],
+    features: list[np.ndarray],
+    labels: list[np.ndarray],
     train: LocalTrainSpec,
     opt: OptState,
-    rng: Rng,
-    grad_offset: np.ndarray | None = None,
+    rngs: list[Rng],
+    grad_offsets: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, LocalStats]:
-    """Copy `params` and run E epochs of batched SGD with momentum.
+    """Train m clients, each from its own start, by E epochs of batched SGD with momentum.
 
-    Each epoch reshuffles and splits into batches of `batch_size`; the
-    short remainder batch is kept. E=0 returns the copy unchanged.
-    `grad_offset`, when given, is added to every batch gradient (the
-    control-variate correction hook). Velocity starts at zero. Non-finite
-    parameters raise NumericError naming the first bad segment.
+    Client k trains a copy of `starts[k]` on `features[k]`, `labels[k]`.
+    Each of its epochs draws a shuffle from `rngs[k]` and splits it into
+    batches of `batch_size`; the short remainder batch is kept.
+    `grad_offsets[k]`, when given, is added to each of its batch
+    gradients (the control-variate correction hook). Velocity starts at
+    zero. Returns the (m, P) trained parameters in input order and the
+    call's stats; E=0 returns copies of the starts.
+
+    The clients step in lock-step as one stack, longest schedule first,
+    so those still training are always a prefix of it. At each step the
+    active clients are grouped by the row count of their batch, each
+    group takes one stacked `_loss_grad_into` call, and the momentum
+    update runs once on the prefix. A client's result is bit-identical
+    to training it alone, whatever the other clients or their order.
+    A non-finite loss, gradient or result raises NumericError naming
+    the first bad segment.
     """
-    n = labels.shape[0]
-    if n == 0:
+    m = len(starts)
+    sizes = [len(y) for y in labels]
+    if not m or min(sizes) == 0:
         raise InvalidArgument("client data must be non-empty")
-    # theta and the gradient buffer are only updated in place, so their
-    # segment views stay valid for the whole call
-    theta = params.copy()
+    batch, prox_mu, lr, momentum = train.batch_size, train.prox_mu, opt.lr, opt.momentum
+    per_epoch = [-(-n // batch) for n in sizes]
+    # a stable sort: clients with equal schedules keep their input order
+    order = sorted(range(m), key=lambda k: -per_epoch[k])
+    theta = np.array([starts[k] for k in order], dtype=np.float64)
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
+    # theta and grad are only updated in place, so their views stay valid
     views, grad_views = _unpack(spec, theta), _unpack(spec, grad)
-    anchor = params if train.prox_mu > 0.0 else None
-    prox_mu, batch, lr, momentum = train.prox_mu, train.batch_size, opt.lr, opt.momentum
-    steps = 0
-    loss_total = 0.0
+    anchor = theta.copy() if prox_mu > 0.0 else None
+    offsets = None if grad_offsets is None else np.array([grad_offsets[k] for k in order])
+    sizes = [sizes[k] for k in order]
+    per_epoch = [per_epoch[k] for k in order]
+    steps = [train.epochs * b for b in per_epoch]
+    data = [(features[k], labels[k], rngs[k]) for k in order]
+    # each active client's current epoch, gathered once so each batch is a slice
+    xs, ys, lows = [None] * m, [None] * m, [0] * m
+    loss_sum = np.zeros(m)
+
+    def prefix(a: int) -> tuple:
+        """Views of the first `a` clients: those still training."""
+        return theta[:a], grad[:a], vel[:a], loss_sum[:a], None if offsets is None else offsets[:a]
+
+    # (first, count) -> views of that run of the stack, reused across steps
+    runs: dict[tuple[int, int], tuple] = {}
+    active = m
+    t_a, g_a, v_a, l_a, o_a = prefix(active)
     # as in forward_loss_grad, NumericError is the single signal of overflow
     with np.errstate(all="ignore"):
-        for _ in range(train.epochs):
-            order = rng.permutation(n)
-            # one gather per epoch; each batch is then a contiguous slice
-            xs, ys = features[order], labels[order]
-            for start in range(0, n, batch):
-                stop = start + batch
-                loss = _loss_grad_into(
-                    spec, theta, views, grad, grad_views, xs[start:stop], ys[start:stop],
-                    anchor, prox_mu,
+        for step in range(steps[0]):
+            if steps[active - 1] <= step:
+                while steps[active - 1] <= step:
+                    active -= 1
+                t_a, g_a, v_a, l_a, o_a = prefix(active)
+            groups: dict[int, list[int]] = {}
+            for i in range(active):
+                j = step % per_epoch[i]
+                if j == 0:
+                    x_all, y_all, rng = data[i]
+                    shuffle = rng.permutation(sizes[i])
+                    xs[i], ys[i] = x_all[shuffle], y_all[shuffle]
+                lows[i] = lo = j * batch
+                groups.setdefault(min(batch, sizes[i] - lo), []).append(i)
+            step_loss = np.empty(active)
+            for rows, members in groups.items():
+                c, first = len(members), members[0]
+                contiguous = members[-1] - first == c - 1
+                if contiguous:
+                    # a run of the stack: views, gradients written in place
+                    run = runs.get((first, c))
+                    if run is None:
+                        sel = slice(first, first + c)
+                        run = runs[first, c] = (
+                            sel, theta[sel], [v[sel] for v in views], grad[sel],
+                            [v[sel] for v in grad_views], None if anchor is None else anchor[sel],
+                        )
+                    sel, t, t_views, g, g_views, anc = run
+                else:
+                    sel = members
+                    t, g = theta[sel], np.empty((c, theta.shape[1]))
+                    t_views, g_views = _unpack(spec, t), _unpack(spec, g)
+                    anc = None if anchor is None else anchor[sel]
+                if c == 1:
+                    lo = lows[first]
+                    x, y = xs[first][None, lo : lo + rows], ys[first][None, lo : lo + rows]
+                else:
+                    x = np.stack([xs[i][lows[i] : lows[i] + rows] for i in members])
+                    y = np.stack([ys[i][lows[i] : lows[i] + rows] for i in members])
+                step_loss[sel] = _loss_grad_into(
+                    spec, t, t_views, g, g_views, x, y, anc, prox_mu
                 )
-                if grad_offset is not None:
-                    grad += grad_offset
-                vel *= momentum
-                vel += grad
-                theta -= lr * vel
-                steps += 1
-                loss_total += loss
+                if not contiguous:
+                    grad[sel] = g
+            _check_step(spec, step_loss, g_a, t_a)
+            if o_a is not None:
+                g_a += o_a
+            v_a *= momentum
+            v_a += g_a
+            # the gradients are spent, so their buffer takes lr * velocity
+            np.multiply(v_a, lr, out=g_a)
+            t_a -= g_a
+            l_a += step_loss
+    position = sorted(range(m), key=order.__getitem__)  # stack row of each input
+    out = theta[position]
+    for row in out:
+        spec.check_finite(row)
     # 0.0 rather than NaN for the no-step case keeps logs comparable
-    mean_loss = loss_total / steps if steps else 0.0
-    spec.check_finite(theta)
-    return theta, LocalStats(steps, mean_loss)
+    mean_losses = tuple(float(loss_sum[i]) / steps[i] if steps[i] else 0.0 for i in position)
+    return out, LocalStats(sum(steps), tuple(steps[i] for i in position), mean_losses)
 
 
 def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> float:

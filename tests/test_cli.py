@@ -179,6 +179,7 @@ class TestExitCodes:
             ("train.momentum", "1.5"),
             ("train.batch_size", "0"),
             ("train.epochs", "-1"),
+            ("train.epochs", "0"),
             ("federation.rounds", "0"),
             ("federation.sample_rate", "0"),
             ("algo.n_clusters", "0"),

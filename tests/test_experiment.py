@@ -168,6 +168,7 @@ class TestSweep:
             # TINY runs 3 rounds: C = 1.0 over 5 clients averages 5
             ("C", "0.4,1.0", "evaluation window of 5 rounds"),
             ("N", "5,10", "evaluation window of 4 rounds"),
+            ("E", "1,0", r"train.epochs must be >= 1"),
         ],
     )
     def test_every_cell_checked_at_load(self, axis, values, match, tmp_path):

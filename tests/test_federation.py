@@ -230,10 +230,12 @@ def _replay_scaffold_states_per_round(cfg, model, parts, train, test):
         variate_delta = np.zeros(len(global_p))
         for k in selected:
             offset = state.server - state.clients[k]
-            out, stats = _local_train(
-                model, global_p, data.features[k], data.labels[k], cfg.local, opt,
-                root.substream("client", k, t), offset,
+            # one client per call, as an independent check on the stacked round
+            trained, stats = _local_train(
+                model, [global_p], [data.features[k]], [data.labels[k]], cfg.local, opt,
+                [root.substream("client", k, t)], [offset],
             )
+            out = trained[0]
             new_c = scaffold_client_variate(
                 state.clients[k], state.server, global_p, out,
                 stats.steps, cfg.lr,
@@ -324,10 +326,10 @@ class TestRunFederation:
         x = train.features[parts[0].train_indices]
         y = train.labels[parts[0].train_indices]
         expected, _ = _local_train(
-            model, start, x, y, local, OptState(cfg.lr, cfg.momentum),
-            root.substream("client", 0, 0),
+            model, [start], [x], [y], local, OptState(cfg.lr, cfg.momentum),
+            [root.substream("client", 0, 0)],
         )
-        assert np.array_equal(result.final_global, expected)
+        assert np.array_equal(result.final_global, expected[0])
 
     def test_round_log_shape(self):
         train, test, parts, model = small_setup()
@@ -446,8 +448,8 @@ class TestFineTune:
         x = train.features[parts[0].train_indices]
         y = train.labels[parts[0].train_indices]
         spec = LocalTrainSpec(3, 10)
-        a, _ = _local_train(model, start, x, y, spec, opt, Rng(9).substream("ft", 0))
-        b, _ = _local_train(model, start, x, y, spec, opt, Rng(9).substream("ft", 0))
+        rngs = [Rng(9).substream("ft", 0), Rng(9).substream("ft", 0)]
+        (a, b), _ = _local_train(model, [start, start], [x, x], [y, y], spec, opt, rngs)
         assert np.array_equal(a, b)
 
     def test_fine_tuning_lifts_personal_accuracy_under_skew(self):

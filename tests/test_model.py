@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import balanced_dataset
 from fedsim.core import Rng
@@ -39,10 +41,52 @@ def finite_difference_grad(spec, theta, batch, anchor, prox_mu, h=1e-5):
     return grad
 
 
+def train_one(spec, params, x, y, local, opt, rng, grad_offset=None):
+    """(parameters, steps, mean loss) of one client trained alone by the kernel."""
+    offsets = None if grad_offset is None else [grad_offset]
+    out, stats = _local_train(spec, [params], [x], [y], local, opt, [rng], offsets)
+    assert out.shape == (1, len(params)) and stats.steps == stats.client_steps[0]
+    return out[0], stats.client_steps[0], stats.mean_losses[0]
+
+
 def train(spec, params, batch, local, opt, rng, grad_offset=None):
     """Parameters after one client's local training through the kernel."""
-    out, _ = _local_train(spec, params, *batch, local, opt, rng, grad_offset)
-    return out
+    return train_one(spec, params, *batch, local, opt, rng, grad_offset)[0]
+
+
+def reference_loss_grad(spec, theta, x, y, anchor, prox_mu):
+    """Mean cross-entropy (+ prox term) and gradient in plain 2D numpy.
+
+    Written apart from the package's stacked kernel, with the same
+    floating-point operations in the same order, so the kernel must
+    equal it bit for bit.
+    """
+    n = x.shape[0]
+    segments = [theta[start:stop].reshape(shape) for _, start, stop, shape in spec._view_plan]
+    if spec.kind == "logreg":
+        w, b = segments
+        a = x
+    else:
+        w1, b1, w, b = segments
+        pre = x @ w1 + b1
+        a = np.maximum(pre, 0.0)
+    z = a @ w + b
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    p = e / e.sum(axis=1, keepdims=True)
+    onehot = np.zeros_like(p)
+    onehot[np.arange(n), y] = 1.0
+    dz = (p - onehot) / n
+    parts = [(a.T @ dz).ravel(), dz.sum(axis=0)]
+    if spec.kind == "mlp":
+        dh = (dz @ w.T) * (pre > 0.0)
+        parts = [(x.T @ dh).ravel(), dh.sum(axis=0), *parts]
+    grad = np.concatenate(parts)
+    loss = float(-np.log(np.maximum(p[np.arange(n), y], 1e-300)).sum() / n)
+    if prox_mu > 0.0:
+        diff = theta - anchor
+        loss += 0.5 * prox_mu * float(diff @ diff)
+        grad += prox_mu * diff
+    return loss, grad
 
 
 class TestInit:
@@ -235,11 +279,11 @@ class TestClientUpdate:
 
     def test_zero_epochs_identity(self):
         params = init_params(LOGREG, Rng(20))
-        out, stats = _local_train(
+        out, steps, mean_loss = train_one(
             LOGREG, params, *self._data(), LocalTrainSpec(0, 4), OptState(0.1, 0.9), Rng(1)
         )
         assert np.array_equal(out, params)
-        assert (stats.steps, stats.mean_loss) == (0, 0.0)
+        assert (steps, mean_loss) == (0, 0.0)
 
     def test_single_full_batch_epoch_equals_one_step(self):
         x, y = self._data()
@@ -256,16 +300,14 @@ class TestClientUpdate:
         b = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
-    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
-    def test_matches_reference_loop(self, spec, prox_mu):
-        """Bit-identical to one forward_loss_grad call per batch with
-        freshly allocated arrays and out-of-place momentum updates."""
-        x, y = self._data(n=23, spec=spec)
+    def _check_reference_loop(self, spec, prox_mu, n):
+        """The kernel is bit-identical to a plain loop over the 2D
+        reference loss, with fresh arrays and out-of-place momentum."""
+        x, y = self._data(n=n, spec=spec)
         params = init_params(spec, Rng(25))
         offset = Rng(26).uniform(len(params)) * 0.01
         local, opt = LocalTrainSpec(3, 5, prox_mu), OptState(0.05, 0.9)
-        out, stats = _local_train(spec, params, x, y, local, opt, Rng(4), offset)
+        out, steps, mean_loss = train_one(spec, params, x, y, local, opt, Rng(4), offset)
 
         rng, theta = Rng(4), params.copy()
         vel = np.zeros_like(theta)
@@ -275,31 +317,115 @@ class TestClientUpdate:
             order = rng.permutation(len(y))
             for start in range(0, len(y), local.batch_size):
                 idx = order[start : start + local.batch_size]
-                loss, grad = forward_loss_grad(spec, theta, x[idx], y[idx], anchor, prox_mu)
+                loss, grad = reference_loss_grad(spec, theta, x[idx], y[idx], anchor, prox_mu)
                 grad = grad + offset
                 vel = opt.momentum * vel + grad
                 theta -= opt.lr * vel
                 losses.append(loss)
         assert np.array_equal(out, theta)
-        assert stats.steps == len(losses) == 15
-        assert stats.mean_loss == sum(losses) / len(losses)
+        assert steps == len(losses) == 3 * -(-n // 5)
+        assert mean_loss == sum(losses) / len(losses)
+
+    @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    def test_matches_reference_loop(self, spec, prox_mu):
+        self._check_reference_loop(spec, prox_mu, n=23)  # remainder batches of 3 rows
+
+    @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
+    def test_single_row_remainder_matches_reference_loop(self, spec):
+        # a one-row product goes through gemv rather than gemm
+        self._check_reference_loop(spec, 0.3, n=21)
 
     def test_diverging_lr_raises_numeric_error(self):
         x, y = self._data()
         params = init_params(LOGREG, Rng(27))
         before = params.copy()
         with pytest.raises(NumericError, match=r"segment (w|b)\b"):
-            _local_train(LOGREG, params, x, y, LocalTrainSpec(5, 4), OptState(1e308, 0.9), Rng(5))
+            train_one(LOGREG, params, x, y, LocalTrainSpec(5, 4), OptState(1e308, 0.9), Rng(5))
         assert np.array_equal(params, before)
 
     def test_short_remainder_batch_kept(self):
         x, y = self._data(n=10)
         params = init_params(LOGREG, Rng(24))
-        out, stats = _local_train(
+        out, steps, _ = train_one(
             LOGREG, params, x, y, LocalTrainSpec(1, 4), OptState(0.05, 0.0), Rng(3)
         )
-        assert stats.steps == 3  # 4 + 4 + 2
+        assert steps == 3  # 4 + 4 + 2
         assert not np.array_equal(out, params)
+
+
+class TestStacking:
+    """One `_local_train` call over m clients equals m one-client calls."""
+
+    @staticmethod
+    def _clients(sizes, kind, n_classes, with_offsets, seed):
+        spec = ModelSpec(kind, 24, n_classes, hidden=32 if kind == "mlp" else None, init_scale=0.5)
+        data = [random_batch(Rng(seed, k), n, spec) for k, n in enumerate(sizes)]
+        starts = [init_params(spec, Rng(seed, 100 + k)) for k in range(len(sizes))]
+        offsets = (
+            [Rng(seed, 200 + k).uniform(spec.n_params()) * 0.01 for k in range(len(sizes))]
+            if with_offsets
+            else None
+        )
+        return spec, data, starts, offsets
+
+    @staticmethod
+    def _stacked(spec, data, starts, offsets, local, opt, seed, order):
+        """One call over the clients in `order`, each on its own stream."""
+        return _local_train(
+            spec, [starts[k] for k in order], [data[k][0] for k in order],
+            [data[k][1] for k in order], local, opt, [Rng(seed, 300 + k) for k in order],
+            None if offsets is None else [offsets[k] for k in order],
+        )
+
+    def _check(self, sizes, kind, n_classes, prox_mu, with_offsets, seed):
+        spec, data, starts, offsets = self._clients(sizes, kind, n_classes, with_offsets, seed)
+        local, opt = LocalTrainSpec(2, 10, prox_mu), OptState(0.05, 0.9)
+        m = len(sizes)
+        out, stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m))
+        assert out.shape == (m, spec.n_params())
+        for k in range(m):
+            alone, steps, mean_loss = train_one(
+                spec, starts[k], *data[k], local, opt, Rng(seed, 300 + k),
+                None if offsets is None else offsets[k],
+            )
+            assert np.array_equal(out[k], alone), f"client {k} (n={sizes[k]})"
+            assert (stats.client_steps[k], stats.mean_losses[k]) == (steps, mean_loss)
+        assert stats.steps == sum(stats.client_steps)
+        # reversing the input order only reverses the output rows
+        rev, rev_stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m)[::-1])
+        assert np.array_equal(rev, out[::-1])
+        assert rev_stats.client_steps == stats.client_steps[::-1]
+        assert rev_stats.mean_losses == stats.mean_losses[::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 35), min_size=1, max_size=6),
+        kind=st.sampled_from(["logreg", "mlp"]),
+        n_classes=st.sampled_from([10, 20]),
+        prox_mu=st.sampled_from([0.0, 0.3]),
+        with_offsets=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_stack_equals_one_client_at_a_time(
+        self, sizes, kind, n_classes, prox_mu, with_offsets, seed
+    ):
+        self._check(sizes, kind, n_classes, prox_mu, with_offsets, seed)
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    @pytest.mark.parametrize("n_classes", [10, 20])
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    def test_every_remainder_in_one_stack(self, kind, n_classes, prox_mu):
+        # n = 1..35 with B = 10 gives every remainder 1..9 and full batches
+        self._check(list(range(1, 36)), kind, n_classes, prox_mu, True, 7)
+
+    def test_empty_client_rejected(self):
+        spec, data, starts, _ = self._clients([4, 3], "logreg", 10, False, 1)
+        with pytest.raises(InvalidArgument, match="non-empty"):
+            _local_train(
+                spec, starts, [data[0][0], data[1][0][:0]], [data[0][1], data[1][1][:0]],
+                LocalTrainSpec(1, 10), OptState(0.05, 0.9), [Rng(1), Rng(2)],
+            )
 
 
 class TestEvaluate:
