@@ -313,14 +313,14 @@ def _local_train(
     steps = [train.epochs * b for b in per_epoch]
     data = [(features[k], labels[k], rngs[k]) for k in order]
     # each active client's current epoch, gathered once so each batch is a slice
-    xs, ys, lows = [None] * m, [None] * m, [0] * m
+    xs, ys, lows, row_counts = [None] * m, [None] * m, [0] * m, [0] * m
     loss_sum = np.zeros(m)
 
     def prefix(a: int) -> tuple:
         """Views of the first `a` clients: those still training."""
         return theta[:a], grad[:a], vel[:a], loss_sum[:a], None if offsets is None else offsets[:a]
 
-    # (first, count) -> views of that run of the stack, reused across steps
+    # (first, stop) -> views of that run of the stack, reused across steps
     runs: dict[tuple[int, int], tuple] = {}
     active = m
     t_a, g_a, v_a, l_a, o_a = prefix(active)
@@ -339,27 +339,37 @@ def _local_train(
                     shuffle = rng.permutation(sizes[i])
                     xs[i], ys[i] = x_all[shuffle], y_all[shuffle]
                 lows[i] = lo = j * batch
-                groups.setdefault(min(batch, sizes[i] - lo), []).append(i)
+                row_counts[i] = rows = min(batch, sizes[i] - lo)
+                groups.setdefault(rows, []).append(i)
             step_loss = np.empty(active)
-            for rows, members in groups.items():
-                c, first = len(members), members[0]
-                contiguous = members[-1] - first == c - 1
-                if contiguous:
-                    # a run of the stack: views, gradients written in place
-                    run = runs.get((first, c))
+            # The largest group goes first, on the whole run of the stack
+            # from its first to its last member, so it needs no gather. A
+            # client in that run with another row count is stepped on the
+            # first member's rows; its own group, which comes later,
+            # overwrites that loss and gradient.
+            largest = max(groups, key=lambda rows: len(groups[rows]))
+            for rows in (largest, *(r for r in groups if r != largest)):
+                members = groups[rows]
+                first, stop = members[0], members[-1] + 1
+                spanned = rows == largest or stop - first == len(members)
+                if spanned:
+                    # views of the run; gradients are written in place
+                    run = runs.get((first, stop))
                     if run is None:
-                        sel = slice(first, first + c)
-                        run = runs[first, c] = (
+                        sel = slice(first, stop)
+                        run = runs[first, stop] = (
                             sel, theta[sel], [v[sel] for v in views], grad[sel],
                             [v[sel] for v in grad_views], None if anchor is None else anchor[sel],
                         )
                     sel, t, t_views, g, g_views, anc = run
+                    # whose rows feed each stack row of the run
+                    members = [i if row_counts[i] == rows else first for i in range(first, stop)]
                 else:
                     sel = members
-                    t, g = theta[sel], np.empty((c, theta.shape[1]))
+                    t, g = theta[sel], np.empty((len(members), theta.shape[1]))
                     t_views, g_views = _unpack(spec, t), _unpack(spec, g)
                     anc = None if anchor is None else anchor[sel]
-                if c == 1:
+                if len(members) == 1:
                     lo = lows[first]
                     x, y = xs[first][None, lo : lo + rows], ys[first][None, lo : lo + rows]
                 else:
@@ -368,7 +378,7 @@ def _local_train(
                 step_loss[sel] = _loss_grad_into(
                     spec, t, t_views, g, g_views, x, y, anc, prox_mu
                 )
-                if not contiguous:
+                if not spanned:
                     grad[sel] = g
             _check_step(spec, step_loss, g_a, t_a)
             if o_a is not None:
