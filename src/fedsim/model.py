@@ -11,6 +11,7 @@ with results bit-identical to training each client alone.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,10 +198,12 @@ def _loss_grad_into(
     and `y` (c, r). Writes the gradients into `grad` and returns the c
     losses. A stacked matmul makes, slice by slice, the BLAS call the
     2D product makes, and every reduction runs within one client, so
-    each client's numbers equal a c = 1 call bit for bit. Batches must
-    not be zero-padded to a common r: that changes the BLAS kernel and
-    tiling, and with them the rounding. Callers hold forward_loss_grad's
-    argument checks, silence numpy's floating-point warnings and run
+    each client's numbers equal a c = 1 call bit for bit. A caller may
+    run a client on zero-padded rows to share a common r, but must not
+    keep that client's result: the padded rows enter its loss, gradient
+    and divisor, and padding changes the BLAS kernel and tiling, and
+    with them the rounding. Callers hold forward_loss_grad's argument
+    checks, silence numpy's floating-point warnings and run
     `_check_step`.
     """
     c, r = y.shape
@@ -285,13 +288,18 @@ def _local_train(
     call's stats; E=0 returns copies of the starts.
 
     The clients step in lock-step as one stack, longest schedule first,
-    so those still training are always a prefix of it. At each step the
-    active clients are grouped by the row count of their batch, each
-    group takes one stacked `_loss_grad_into` call, and the momentum
-    update runs once on the prefix. A client's result is bit-identical
-    to training it alone, whatever the other clients or their order.
-    A non-finite loss, gradient or result raises NumericError naming
-    the first bad segment.
+    so those still training are always a prefix of it. Each client's
+    current shuffled epoch sits at its own offset in one zero-filled
+    buffer, padded to whole batches, so every batch is a window of
+    `batch_size` rows. Each step makes one stacked `_loss_grad_into`
+    call on the windows of all active clients. A client whose batch is
+    short, the last of an epoch with r rows, is then stepped again on
+    its r true rows, with the other clients of the same r, and that
+    result replaces the padded one. The momentum update runs once on
+    the prefix. A client's result is bit-identical to training it
+    alone, whatever the other clients or their order. A non-finite
+    loss, gradient or result raises NumericError naming the first bad
+    segment.
     """
     m = len(starts)
     sizes = [len(y) for y in labels]
@@ -304,82 +312,55 @@ def _local_train(
     theta = np.array([starts[k] for k in order], dtype=np.float64)
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    # theta and grad are only updated in place, so their views stay valid
-    views, grad_views = _unpack(spec, theta), _unpack(spec, grad)
     anchor = theta.copy() if prox_mu > 0.0 else None
     offsets = None if grad_offsets is None else np.array([grad_offsets[k] for k in order])
     sizes = [sizes[k] for k in order]
     per_epoch = [per_epoch[k] for k in order]
     steps = [train.epochs * b for b in per_epoch]
     data = [(features[k], labels[k], rngs[k]) for k in order]
-    # each active client's current epoch, gathered once so each batch is a slice
-    xs, ys, lows, row_counts = [None] * m, [None] * m, [0] * m, [0] * m
+    # each client's epoch buffer starts at bases[i]; rows past its n_i stay zero
+    bases = [0, *itertools.accumulate(b * batch for b in per_epoch)]
+    xs = np.zeros((bases[-1], features[0].shape[1]))
+    ys = np.zeros(bases[-1], dtype=np.int64)
+    lows = np.zeros(m, dtype=np.intp)
+    window = np.arange(batch)
     loss_sum = np.zeros(m)
-
-    def prefix(a: int) -> tuple:
-        """Views of the first `a` clients: those still training."""
-        return theta[:a], grad[:a], vel[:a], loss_sum[:a], None if offsets is None else offsets[:a]
-
-    # (first, stop) -> views of that run of the stack, reused across steps
-    runs: dict[tuple[int, int], tuple] = {}
     active = m
-    t_a, g_a, v_a, l_a, o_a = prefix(active)
     # as in forward_loss_grad, NumericError is the single signal of overflow
     with np.errstate(all="ignore"):
         for step in range(steps[0]):
-            if steps[active - 1] <= step:
+            if not step or steps[active - 1] <= step:
                 while steps[active - 1] <= step:
                     active -= 1
-                t_a, g_a, v_a, l_a, o_a = prefix(active)
-            groups: dict[int, list[int]] = {}
+                # views of the clients still training, updated only in place
+                t_a, g_a, v_a, l_a = theta[:active], grad[:active], vel[:active], loss_sum[:active]
+                views, grad_views = _unpack(spec, t_a), _unpack(spec, g_a)
+                anc_a = None if anchor is None else anchor[:active]
+                o_a = None if offsets is None else offsets[:active]
+            short: dict[int, list[int]] = {}  # row count r < batch -> clients
             for i in range(active):
                 j = step % per_epoch[i]
                 if j == 0:
                     x_all, y_all, rng = data[i]
                     shuffle = rng.permutation(sizes[i])
-                    xs[i], ys[i] = x_all[shuffle], y_all[shuffle]
-                lows[i] = lo = j * batch
-                row_counts[i] = rows = min(batch, sizes[i] - lo)
-                groups.setdefault(rows, []).append(i)
-            step_loss = np.empty(active)
-            # The largest group goes first, on the whole run of the stack
-            # from its first to its last member, so it needs no gather. A
-            # client in that run with another row count is stepped on the
-            # first member's rows; its own group, which comes later,
-            # overwrites that loss and gradient.
-            largest = max(groups, key=lambda rows: len(groups[rows]))
-            for rows in (largest, *(r for r in groups if r != largest)):
-                members = groups[rows]
-                first, stop = members[0], members[-1] + 1
-                spanned = rows == largest or stop - first == len(members)
-                if spanned:
-                    # views of the run; gradients are written in place
-                    run = runs.get((first, stop))
-                    if run is None:
-                        sel = slice(first, stop)
-                        run = runs[first, stop] = (
-                            sel, theta[sel], [v[sel] for v in views], grad[sel],
-                            [v[sel] for v in grad_views], None if anchor is None else anchor[sel],
-                        )
-                    sel, t, t_views, g, g_views, anc = run
-                    # whose rows feed each stack row of the run
-                    members = [i if row_counts[i] == rows else first for i in range(first, stop)]
-                else:
-                    sel = members
-                    t, g = theta[sel], np.empty((len(members), theta.shape[1]))
-                    t_views, g_views = _unpack(spec, t), _unpack(spec, g)
-                    anc = None if anchor is None else anchor[sel]
-                if len(members) == 1:
-                    lo = lows[first]
-                    x, y = xs[first][None, lo : lo + rows], ys[first][None, lo : lo + rows]
-                else:
-                    x = np.stack([xs[i][lows[i] : lows[i] + rows] for i in members])
-                    y = np.stack([ys[i][lows[i] : lows[i] + rows] for i in members])
+                    xs[bases[i] : bases[i] + sizes[i]] = x_all[shuffle]
+                    ys[bases[i] : bases[i] + sizes[i]] = y_all[shuffle]
+                lows[i] = bases[i] + j * batch
+                rows = sizes[i] - j * batch
+                if rows < batch:
+                    short.setdefault(rows, []).append(i)
+            rows_at = lows[:active, None] + window
+            x, y = xs[rows_at], ys[rows_at]
+            step_loss = _loss_grad_into(spec, t_a, views, g_a, grad_views, x, y, anc_a, prox_mu)
+            for rows, sel in short.items():
+                t = theta[sel]
+                g = np.empty_like(t)
+                anc = None if anchor is None else anchor[sel]
                 step_loss[sel] = _loss_grad_into(
-                    spec, t, t_views, g, g_views, x, y, anc, prox_mu
+                    spec, t, _unpack(spec, t), g, _unpack(spec, g),
+                    x[sel, :rows], y[sel, :rows], anc, prox_mu,
                 )
-                if not spanned:
-                    grad[sel] = g
+                grad[sel] = g
             _check_step(spec, step_loss, g_a, t_a)
             if o_a is not None:
                 g_a += o_a

@@ -19,6 +19,9 @@ from fedsim.model import (
 
 LOGREG = ModelSpec("logreg", n_features=4, n_classes=3)
 MLP = ModelSpec("mlp", n_features=4, n_classes=3, hidden=5)
+# the shapes of the gfl1 and pfl1 presets' 10-class output layer
+LOGREG_10 = ModelSpec("logreg", n_features=24, n_classes=10)
+MLP_10 = ModelSpec("mlp", n_features=24, n_classes=10, hidden=32)
 
 
 def random_batch(rng: Rng, n: int, spec: ModelSpec):
@@ -300,13 +303,13 @@ class TestClientUpdate:
         b = train(LOGREG, params, (x, y), LocalTrainSpec(5, 4), opt, Rng(99))
         assert np.array_equal(a, b)
 
-    def _check_reference_loop(self, spec, prox_mu, n):
+    def _check_reference_loop(self, spec, prox_mu, n, batch=5):
         """The kernel is bit-identical to a plain loop over the 2D
         reference loss, with fresh arrays and out-of-place momentum."""
         x, y = self._data(n=n, spec=spec)
         params = init_params(spec, Rng(25))
         offset = Rng(26).uniform(len(params)) * 0.01
-        local, opt = LocalTrainSpec(3, 5, prox_mu), OptState(0.05, 0.9)
+        local, opt = LocalTrainSpec(3, batch, prox_mu), OptState(0.05, 0.9)
         out, steps, mean_loss = train_one(spec, params, x, y, local, opt, Rng(4), offset)
 
         rng, theta = Rng(4), params.copy()
@@ -323,7 +326,7 @@ class TestClientUpdate:
                 theta -= opt.lr * vel
                 losses.append(loss)
         assert np.array_equal(out, theta)
-        assert steps == len(losses) == 3 * -(-n // 5)
+        assert steps == len(losses) == 3 * -(-n // batch)
         assert mean_loss == sum(losses) / len(losses)
 
     @pytest.mark.parametrize("spec", [LOGREG, MLP], ids=["logreg", "mlp"])
@@ -335,6 +338,14 @@ class TestClientUpdate:
     def test_single_row_remainder_matches_reference_loop(self, spec):
         # a one-row product goes through gemv rather than gemm
         self._check_reference_loop(spec, 0.3, n=21)
+
+    @pytest.mark.parametrize("spec", [LOGREG_10, MLP_10], ids=["logreg-24-10", "mlp-24-32-10"])
+    @pytest.mark.parametrize("prox_mu", [0.0, 0.3])
+    @pytest.mark.parametrize("n", range(11, 20))
+    def test_ten_class_remainders_match_reference_loop(self, spec, prox_mu, n):
+        # B = 10 gives each remainder r = 1..9 once, on the layer where a
+        # zero-padded short batch would round differently
+        self._check_reference_loop(spec, prox_mu, n, batch=10)
 
     def test_diverging_lr_raises_numeric_error(self):
         x, y = self._data()
