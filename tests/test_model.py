@@ -19,7 +19,7 @@ from fedsim.model import (
 
 LOGREG = ModelSpec("logreg", n_features=4, n_classes=3)
 MLP = ModelSpec("mlp", n_features=4, n_classes=3, hidden=5)
-# the shapes of the gfl1 and pfl1 presets' 10-class output layer
+# 24 features, 32 hidden units and 10 classes, as in the gfl1 and pfl1 presets
 LOGREG_10 = ModelSpec("logreg", n_features=24, n_classes=10)
 MLP_10 = ModelSpec("mlp", n_features=24, n_classes=10, hidden=32)
 
