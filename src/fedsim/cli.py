@@ -17,7 +17,6 @@ from .data import generate_synthetic, load_mnist_dir
 from .errors import ConfigError, FedsimError
 from .experiment import (
     ExperimentConfig,
-    run_cell_rows,
     emit_report,
     incentive_boundary,
     load_config,
@@ -93,7 +92,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
     if cfg.sweep_axes:
         raise ConfigError("config declares sweep axes; use the sweep subcommand")
-    rows, errors = run_cell_rows(cfg, 0, cfg.seed)
+    rows, errors = run_sweep(cfg)  # one cell
     out = _out_dir(cfg, "run-out")
     paths = emit_report(rows, out, cfg, errors=errors)
     for row in rows:

@@ -468,16 +468,33 @@ CSV_COLUMNS = (
 )
 
 
-def run_single(cfg: ExperimentConfig, seed: int):
-    """One full pipeline pass: data, partition, federate, measure."""
+def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None):
+    """One full pipeline pass: data, partition, federate, measure.
+
+    Data and partitions are drawn from substreams of `seed` alone, so
+    every config run at one seed sees the same (train, test) pair and,
+    per partition spec, the same partitions. `_inputs` is internal:
+    `run_sweep` passes one dict per run, which holds the (train, test)
+    pair by dataset key and the attached partitions by (dataset key,
+    partition spec), so the cells of that run build each only once.
+    Nothing downstream mutates them, so a shared entry gives the same
+    result as one built here.
+    """
     root = Rng(seed)
-    if cfg.dataset == "synthetic":
-        train, test = generate_synthetic(cfg.synthetic, root.substream("data"))
-    else:
-        train, test = load_mnist_dir(cfg.mnist_dir)
+    inputs = {} if _inputs is None else _inputs
+    data_key = (cfg.dataset, cfg.synthetic if cfg.dataset == "synthetic" else cfg.mnist_dir)
+    if data_key not in inputs:
+        if cfg.dataset == "synthetic":
+            inputs[data_key] = generate_synthetic(cfg.synthetic, root.substream("data"))
+        else:
+            inputs[data_key] = load_mnist_dir(cfg.mnist_dir)
+    train, test = inputs[data_key]
     model_spec = cfg.model_spec(train)
-    partitions = make_partitions(train, cfg.partition_spec(), root.substream("partition"))
-    partitions = attach_local_tests(partitions, test)
+    part_key = (data_key, cfg.partition_spec())
+    if part_key not in inputs:
+        partitions = make_partitions(train, part_key[1], root.substream("partition"))
+        inputs[part_key] = attach_local_tests(partitions, test)
+    partitions = inputs[part_key]
     fed = cfg.federation_config(seed)
     result = run_federation(fed, model_spec, partitions, train, test)
     report = compute_report(result, fed, model_spec, partitions, test, cfg.digest())
@@ -498,9 +515,11 @@ def _metric_items(cfg: ExperimentConfig, report: MetricReport) -> list[tuple[str
     return items
 
 
-def run_cell_rows(
-    cfg: ExperimentConfig, cell_index: int, base_seed: int
+def _cell_rows(
+    cfg: ExperimentConfig, cell_index: int, outcomes: list[tuple[int, object]]
 ) -> tuple[list[ResultRow], list[str]]:
+    """One cell's per-run and aggregate rows, from its runs' outcomes in
+    run order: (seed, metric items) or (seed, the FedsimError raised)."""
     rows: list[ResultRow] = []
     errors: list[str] = []
     common = dict(
@@ -513,16 +532,13 @@ def run_cell_rows(
         n_clients=cfg.n_clients,
     )
     per_metric: dict[str, list[float]] = {}
-    for r in range(cfg.runs):
-        seed = hash64(base_seed, cell_index, r)
+    for r, (seed, outcome) in enumerate(outcomes):
         run_id = f"c{cell_index:03d}r{r}"
-        try:
-            report, *_ = run_single(cfg, seed)
-        except FedsimError as exc:
-            errors.append(f"cell {cell_index} run {r}: {exc}")
+        if isinstance(outcome, FedsimError):
+            errors.append(f"cell {cell_index} run {r}: {outcome}")
             rows.append(ResultRow(run_id=run_id, seed=seed, metric="error", value=1.0, **common))
             continue
-        for metric, value in _metric_items(cfg, report):
+        for metric, value in outcome:
             per_metric.setdefault(metric, []).append(value)
             rows.append(
                 ResultRow(run_id=run_id, seed=seed, metric=metric, value=value, **common)
@@ -549,14 +565,34 @@ def sweep_cells(cfg: ExperimentConfig) -> list[dict[str, object]]:
 
 
 def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
-    """Run every cell x every seed; failures become error rows."""
+    """Run every cell x every run; failures become error rows.
+
+    Run r of every cell uses the seed hash64(seed, r), so the cells are
+    common-random-number pairs: cells that differ only in the algorithm
+    see the same data, partitions and sampled clients. The sweep
+    goes run by run, and the cells of a run share its (train, test) pair
+    and, per partition spec, its partitions (see `run_single`); these are
+    dropped when the run ends. Rows come out cell by cell, run order
+    within each cell.
+    """
     cell_cfgs = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
+    outcomes: list[list[tuple[int, object]]] = [[] for _ in cell_cfgs]
+    for r in range(cfg.runs):
+        seed = hash64(cfg.seed, r)
+        inputs: dict = {}
+        for cell_cfg, cell_outcomes in zip(cell_cfgs, outcomes):
+            try:
+                report, *_ = run_single(cell_cfg, seed, _inputs=inputs)
+            except FedsimError as exc:
+                cell_outcomes.append((seed, exc))
+            else:
+                cell_outcomes.append((seed, _metric_items(cell_cfg, report)))
     rows: list[ResultRow] = []
     errors: list[str] = []
-    for i, cell_cfg in enumerate(cell_cfgs):
-        cell_rows, cell_errors = run_cell_rows(cell_cfg, i, cfg.seed)
-        rows.extend(cell_rows)
-        errors.extend(cell_errors)
+    for i, (cell_cfg, cell_outcomes) in enumerate(zip(cell_cfgs, outcomes)):
+        rows_i, errors_i = _cell_rows(cell_cfg, i, cell_outcomes)
+        rows.extend(rows_i)
+        errors.extend(errors_i)
     return rows, errors
 
 
@@ -782,7 +818,7 @@ def manifest_text(
         "owned-class test allocation; fairness = population std of per-client accuracies "
         "(percentage points)",
         f"independent_runs: {n_runs} ({'meets' if n_runs >= 3 else 'BELOW'} the >=3-run requirement)",
-        f"seeds: {seeds}",
+        f"seeds: {seeds} (run r of every cell shares one seed, hash64(seed, r))",
     ]
     if errors:
         lines.append("errors:")

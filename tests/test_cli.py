@@ -4,8 +4,9 @@ import struct
 import pytest
 
 from fedsim.cli import main
+from fedsim.core import hash64
 from fedsim.errors import ConfigError
-from fedsim.experiment import config_from_entries
+from fedsim.experiment import config_from_entries, load_config, parse_csv_rows, run_sweep
 
 
 def write_idx_dir(root, n_train=60, n_test=20, side=4, n_classes=3, seed=5):
@@ -80,6 +81,15 @@ class TestRunCommand:
         strip = lambda p: (p / "results.csv").read_text().splitlines()[1:]
         assert strip(out1) != strip(out2)
         assert strip(out1) == strip(out3)
+
+    def test_run_is_the_one_cell_sweep(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["run", str(cfg_path), "--out", str(out)]) == 0
+        rows = parse_csv_rows((out / "results.csv").read_text())
+        assert rows == run_sweep(load_config(cfg_path))[0]
+        assert sorted({r.seed for r in rows if r.seed is not None}) == sorted(
+            hash64(9, r) for r in range(2)
+        )
 
     def test_identical_rows_across_processes(self, cfg_path, tmp_path):
         import subprocess

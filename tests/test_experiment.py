@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from fedsim.core import hash64
 from fedsim.data import SyntheticSpec
 from fedsim.errors import ConfigError, InvalidArgument
 from fedsim.experiment import (
@@ -16,6 +17,8 @@ from fedsim.experiment import (
     ExperimentConfig,
     RecommendedSettingsWarning,
     ResultRow,
+    _cell_rows,
+    _metric_items,
     apply_cell,
     config_from_entries,
     emit_report,
@@ -235,6 +238,69 @@ class TestSweep:
         assert rebuilt.epochs == row.epochs
         assert rebuilt.n_clients == row.n_clients
         assert rebuilt.algorithm == row.algorithm
+
+
+class TestCommonRandomNumbers:
+    def test_cells_of_a_run_share_seed_data_and_clients(self, tmp_path):
+        text = TINY + "sweep.algorithm = fedavg,fedprox\n"
+        cfg = load_config(write_config(tmp_path, text))
+        assert cfg.runs == 2
+        cells = sweep_cells(cfg)
+        rows, errors = run_sweep(cfg)
+        assert errors == []
+        seed_of = {r.run_id: r.seed for r in rows if r.seed is not None}
+        for r in range(cfg.runs):
+            seed = seed_of[f"c000r{r}"]
+            assert seed_of[f"c001r{r}"] == seed == hash64(cfg.seed, r)
+            (_, fedavg, fedavg_parts, *_), (_, fedprox, fedprox_parts, *_) = (
+                run_single(apply_cell(cfg, cell), seed) for cell in cells
+            )
+            assert [p.train_indices.tolist() for p in fedavg_parts] == [
+                p.train_indices.tolist() for p in fedprox_parts
+            ]
+            assert [log.selected for log in fedavg.round_logs] == [
+                log.selected for log in fedprox.round_logs
+            ]
+        assert seed_of["c000r0"] != seed_of["c000r1"]
+
+    def test_shared_inputs_match_uncached_runs(self):
+        # every (cell, run) pair of the benchmark's sweep, newcomers included
+        cfg = config_from_entries(BENCH_SWEEP)
+        rows, errors = run_sweep(cfg)
+        expected: list[ResultRow] = []
+        for i, cell in enumerate(sweep_cells(cfg)):
+            cell_cfg = apply_cell(cfg, cell)
+            outcomes = []
+            for r in range(cfg.runs):
+                seed = hash64(cfg.seed, r)
+                report, *_ = run_single(cell_cfg, seed)
+                outcomes.append((seed, _metric_items(cell_cfg, report)))
+            expected += _cell_rows(cell_cfg, i, outcomes)[0]
+        assert errors == []
+        assert rows == expected
+
+    def test_inputs_built_once_per_run_and_partition_spec(self, tmp_path, monkeypatch):
+        import fedsim.experiment as experiment
+
+        calls = {"generate_synthetic": 0, "make_partitions": 0, "attach_local_tests": 0}
+
+        def counting(name):
+            original = getattr(experiment, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(experiment, name, counting(name))
+        # 2 alphas are 2 partition specs; E does not change the partitions
+        text = TINY + "sweep.alpha = 0.1,0.3\nsweep.E = 1,2\n"
+        cfg = load_config(write_config(tmp_path, text))
+        rows, errors = run_sweep(cfg)
+        assert errors == [] and len({r.run_id for r in rows if r.seed is not None}) == 8
+        assert calls == {"generate_synthetic": 2, "make_partitions": 4, "attach_local_tests": 4}
 
 
 def make_row(algorithm, level, metric, value, seed=1):
