@@ -472,8 +472,9 @@ def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None)
     """One full pipeline pass: data, partition, federate, measure.
 
     Data and partitions are drawn from substreams of `seed` alone, so
-    every config run at one seed sees the same (train, test) pair and,
-    per partition spec, the same partitions. `_inputs` is internal:
+    configs run at one seed see the same (train, test) pair when their
+    dataset matches, and the same partitions when their partition spec
+    matches too. `_inputs` is internal:
     `run_sweep` passes one dict per run, which holds the (train, test)
     pair by dataset key and the attached partitions by (dataset key,
     partition spec), so the cells of that run build each only once.
@@ -490,11 +491,11 @@ def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None)
             inputs[data_key] = load_mnist_dir(cfg.mnist_dir)
     train, test = inputs[data_key]
     model_spec = cfg.model_spec(train)
-    part_key = (data_key, cfg.partition_spec())
-    if part_key not in inputs:
-        partitions = make_partitions(train, part_key[1], root.substream("partition"))
-        inputs[part_key] = attach_local_tests(partitions, test)
-    partitions = inputs[part_key]
+    spec = cfg.partition_spec()
+    if (data_key, spec) not in inputs:
+        partitions = make_partitions(train, spec, root.substream("partition"))
+        inputs[data_key, spec] = attach_local_tests(partitions, test)
+    partitions = inputs[data_key, spec]
     fed = cfg.federation_config(seed)
     result = run_federation(fed, model_spec, partitions, train, test)
     report = compute_report(result, fed, model_spec, partitions, test, cfg.digest())
@@ -515,11 +516,16 @@ def _metric_items(cfg: ExperimentConfig, report: MetricReport) -> list[tuple[str
     return items
 
 
+# one (cell, run): its seed, and its metric items or the message of the
+# FedsimError it raised
+RunOutcome = tuple[int, list[tuple[str, float]] | str]
+
+
 def _cell_rows(
-    cfg: ExperimentConfig, cell_index: int, outcomes: list[tuple[int, object]]
+    cfg: ExperimentConfig, cell_index: int, outcomes: list[RunOutcome]
 ) -> tuple[list[ResultRow], list[str]]:
     """One cell's per-run and aggregate rows, from its runs' outcomes in
-    run order: (seed, metric items) or (seed, the FedsimError raised)."""
+    run order."""
     rows: list[ResultRow] = []
     errors: list[str] = []
     common = dict(
@@ -534,7 +540,7 @@ def _cell_rows(
     per_metric: dict[str, list[float]] = {}
     for r, (seed, outcome) in enumerate(outcomes):
         run_id = f"c{cell_index:03d}r{r}"
-        if isinstance(outcome, FedsimError):
+        if isinstance(outcome, str):
             errors.append(f"cell {cell_index} run {r}: {outcome}")
             rows.append(ResultRow(run_id=run_id, seed=seed, metric="error", value=1.0, **common))
             continue
@@ -576,7 +582,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     within each cell.
     """
     cell_cfgs = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
-    outcomes: list[list[tuple[int, object]]] = [[] for _ in cell_cfgs]
+    outcomes: list[list[RunOutcome]] = [[] for _ in cell_cfgs]
     for r in range(cfg.runs):
         seed = hash64(cfg.seed, r)
         inputs: dict = {}
@@ -584,7 +590,7 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
             try:
                 report, *_ = run_single(cell_cfg, seed, _inputs=inputs)
             except FedsimError as exc:
-                cell_outcomes.append((seed, exc))
+                cell_outcomes.append((seed, str(exc)))
             else:
                 cell_outcomes.append((seed, _metric_items(cell_cfg, report)))
     rows: list[ResultRow] = []
