@@ -164,10 +164,32 @@ class Rng:
         return out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n)."""
+        """Fisher-Yates permutation of range(n).
+
+        The draws are randbelow(n), randbelow(n - 1), ..., randbelow(2),
+        read from the raw words as `_below_descending` reads them, with
+        each swap made as its draw is accepted.
+        """
         arr = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), self._below_descending(n, max(n - 1, 0))):
-            arr[i], arr[j] = arr[j], arr[i]
+        b = n
+        mask = (1 << (n - 1).bit_length()) - 1 if n > 1 else 0
+        while b > 1:
+            want = b - 1
+            want += (want >> 1) + 8
+            avail = len(self._buf) - self._pos
+            if 0 < avail < want:
+                want = avail
+            words = self._raw(want).tolist()
+            for used, w in enumerate(words, 1):
+                v = w & mask
+                if v < b:
+                    b -= 1
+                    arr[b], arr[v] = arr[v], arr[b]
+                    if b == 1:
+                        break
+                    if b - 1 <= mask >> 1:
+                        mask >>= 1
+            self._pos -= len(words) - used
         return np.array(arr, dtype=np.int64)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:

@@ -169,16 +169,18 @@ def forward_loss_grad(
 
 def _stacked_loss_grad(spec, theta, x, y, anchor, prox_mu) -> tuple[np.ndarray, np.ndarray]:
     """`_loss_grad_into` on a (c, P) stack of full windows into a new, checked gradient stack."""
+    c, r = y.shape
     grad = np.empty_like(theta)
-    counts = np.full(len(theta), float(x.shape[1]))
+    true_class = np.arange(0, c * r * spec.n_classes, spec.n_classes)
+    true_class += y.reshape(-1)
     # non-finite values are detected explicitly; silence numpy's overflow
     # warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
         losses = _loss_grad_into(
-            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x, y, counts,
+            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x, true_class, None,
             anchor, prox_mu,
         )
-    _check_step(spec, losses, grad, theta)
+        _check_step(spec, losses, grad, theta)
     return losses, grad
 
 
@@ -189,22 +191,25 @@ def _loss_grad_into(
     grad: np.ndarray,
     grad_views: list[np.ndarray],
     x: np.ndarray,
-    y: np.ndarray,
-    counts: np.ndarray,
+    true_class: np.ndarray,
+    counts: np.ndarray | None,
     anchor: np.ndarray | None,
     prox_mu: float,
 ) -> np.ndarray:
     """Each client's loss and gradient for a stack of c clients on r-row windows.
 
     `theta`, `grad` and `anchor` are (c, P) stacks, `views` and
-    `grad_views` the `_unpack` of `theta` and `grad`, `x` is (c, r, F)
-    and `y` (c, r). Client i's batch is the first `counts[i]` rows of
-    its window (`counts` is a float array); the rows after them are
-    padding, and their output-layer error and log-probability are set
-    to 0, so they add nothing. The loss and gradient are means over
-    `counts[i]` rows: dividing by an array that holds r equals dividing
-    by r bit for bit, and a stack of full windows skips the mask.
-    Writes the gradients into `grad` and returns the c losses.
+    `grad_views` the `_unpack` of `theta` and `grad`, and `x` is
+    (c, r, F). `true_class` holds, for each of the c * r window rows in
+    order, the flat offset of its class's entry in a (c, r, K) array of
+    scores: the row's index times K plus its class id. With `counts`
+    None every window is a full batch. Otherwise client i's batch is
+    the first `counts[i]` rows of its window (`counts` is a float
+    array); the rows after them are padding, and their output-layer
+    error and log-probability are set to 0, so they add nothing. The
+    loss and gradient are means over `counts[i]` rows, or over r:
+    dividing by an array entry that holds r equals dividing by r bit
+    for bit. Writes the gradients into `grad` and returns the c losses.
 
     A stacked matmul makes, slice by slice, the BLAS call the 2D
     product makes, and every reduction runs within one client, so each
@@ -214,7 +219,7 @@ def _loss_grad_into(
     forward_loss_grad's argument checks, silence numpy's floating-point
     warnings and run `_check_step`.
     """
-    c, r = y.shape
+    c, r = x.shape[:2]
     # `a` is the input of the output layer (w, b): x itself for logreg
     if spec.kind == "logreg":
         w, b = views
@@ -227,18 +232,18 @@ def _loss_grad_into(
     z = a @ w
     z += b[:, None]
     dz = _softmax(z)
-    # flat offsets of each (client, sample) pair's true-class entry
-    true_class = np.arange(0, dz.size, dz.shape[-1])
-    true_class += y.reshape(-1)
     dz_flat = dz.reshape(-1)
     p_true = dz_flat.take(true_class)
     dz_flat[true_class] = p_true - 1.0
     log_p = np.log(np.maximum(p_true.reshape(c, r), 1e-300))
-    if np.minimum.reduce(counts) < r:
+    if counts is None:
+        counts = float(r)
+        dz /= counts
+    else:
         padded = np.arange(r) >= counts[:, None]
         dz[padded] = 0.0
         log_p[padded] = 0.0
-    dz /= counts[:, None, None]
+        dz /= counts[:, None, None]
     gw, gb = grad_views[-2:]
     np.matmul(a.transpose(0, 2, 1), dz, out=gw)
     np.add.reduce(dz, axis=1, out=gb)
@@ -262,7 +267,12 @@ def _loss_grad_into(
 def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np.ndarray) -> None:
     """Raise NumericError for the first client of a stack with a non-finite
     loss or gradient, naming its first bad gradient segment, else its
-    first bad parameter segment."""
+    first bad parameter segment. Callers silence numpy's floating-point
+    warnings."""
+    # a finite sum proves every entry finite; a sum of finite entries that
+    # overflows goes on to the exact test below, which passes it
+    if math.isfinite(np.add.reduce(grad, axis=None) + np.add.reduce(losses)):
+        return
     if np.isfinite(grad).all() and np.isfinite(losses).all():
         return
     i = int(np.argmin(np.isfinite(grad).all(axis=1) & np.isfinite(losses)))
@@ -300,20 +310,27 @@ def _local_train(
     zero. Returns the (m, P) trained parameters in input order and the
     call's stats; E=0 returns copies of the starts.
 
+    The whole call is laid out before its first step. The clients' rows
+    sit one after another in one array, followed by one zero row. Each
+    client draws all E of its shuffles from its own `Rng` up front, in
+    epoch order: these are the words the epoch-by-epoch draws would
+    read, because nothing else draws from a client's stream during the
+    call. The shuffles fill one row-index schedule in which client i
+    has E epochs, each padded to whole batches with slots that point at
+    the zero row, so its batch at step s is the `batch_size` slots at
+    `s * batch_size` past its base.
+
     The clients step in lock-step as one stack, longest schedule first,
-    so those still training are always a prefix of it. Each client's
-    current shuffled epoch sits at its own offset in one zero-filled
-    buffer, padded to whole batches, so every batch is a window of
-    `batch_size` rows. Each step makes one stacked `_loss_grad_into`
-    call on the windows of all active clients, and one momentum update
-    on the prefix. A client whose batch is short, the last of an epoch
-    with r rows, steps on its zero-padded window with its r true rows
-    counted: the padding is masked out and the loss and gradient are
-    means over r. This equals the step on the r rows alone to rounding,
-    not bit for bit. A client's result is bit-identical to training it
-    alone, whatever the other clients or their order. A non-finite
-    loss, gradient or result raises NumericError naming the first bad
-    segment.
+    so those still training are always a prefix of it. Each step makes
+    one stacked `_loss_grad_into` call on the windows of all active
+    clients, and one momentum update on the prefix. A client whose
+    batch is short, the last of an epoch with r rows, steps on its
+    zero-padded window with its r true rows counted: the padding is
+    masked out and the loss and gradient are means over r. This equals
+    the step on the r rows alone to rounding, not bit for bit. A
+    client's result is bit-identical to training it alone, whatever the
+    other clients or their order. A non-finite loss, gradient or result
+    raises NumericError naming the first bad segment.
     """
     m = len(starts)
     sizes = [len(y) for y in labels]
@@ -331,14 +348,32 @@ def _local_train(
     sizes = [sizes[k] for k in order]
     per_epoch = [per_epoch[k] for k in order]
     steps = [train.epochs * b for b in per_epoch]
-    data = [(features[k], labels[k], rngs[k]) for k in order]
-    # each client's epoch buffer starts at bases[i]; rows past its n_i stay zero
-    bases = [0, *itertools.accumulate(b * batch for b in per_epoch)]
-    xs = np.zeros((bases[-1], features[0].shape[1]))
-    ys = np.zeros(bases[-1], dtype=np.int64)
-    lows = np.zeros(m, dtype=np.intp)
-    window = np.arange(batch)
-    counts = np.full(m, float(batch))  # true rows in each client's window
+    x_all = np.concatenate(
+        [features[k] for k in order] + [np.zeros((1, features[0].shape[1]))], dtype=np.float64
+    )
+    y_all = np.concatenate([labels[k] for k in order] + [np.zeros(1, dtype=np.int64)])
+    firsts = [0, *itertools.accumulate(sizes)]  # client i's first row in x_all
+    bases = [0, *itertools.accumulate(s * batch for s in steps)]  # its first schedule slot
+    sched = np.full(bases[-1], len(x_all) - 1, dtype=np.int32)
+    for i, k in enumerate(order):
+        n = sizes[i]
+        epochs = sched[bases[i] : bases[i + 1]].reshape(train.epochs, per_epoch[i] * batch)
+        for epoch in epochs:
+            epoch[:n] = rngs[k].permutation(n)
+        epochs[:, :n] += firsts[i]
+    # every client's true row count on each step where some still-training
+    # client's batch is short, the last of an epoch
+    at = np.arange(steps[0])[:, None]
+    pe = np.array(per_epoch)
+    tails = np.array(sizes) % batch
+    is_short = (at % pe == pe - 1) & (tails > 0) & (at < train.epochs * pe)
+    short_steps = np.flatnonzero(is_short.any(axis=1))
+    true_rows = dict(zip(short_steps.tolist(), np.where(is_short[short_steps], tails, float(batch))))
+    # schedule slots of each window row at step 0, and the flat offset of
+    # each window row in a (m, batch_size, K) stack of class scores
+    slots = (np.array(bases[:-1])[:, None] + np.arange(batch)).reshape(-1)
+    row_offsets = np.arange(0, m * batch * spec.n_classes, spec.n_classes)
+    window = (batch, x_all.shape[1])
     loss_sum = np.zeros(m)
     active = m
     # as in forward_loss_grad, NumericError is the single signal of overflow
@@ -352,25 +387,15 @@ def _local_train(
                 views, grad_views = _unpack(spec, t_a), _unpack(spec, g_a)
                 anc_a = None if anchor is None else anchor[:active]
                 o_a = None if offsets is None else offsets[:active]
-                c_a = counts[:active]
-            short = []  # clients whose batch is the short last one of an epoch
-            for i in range(active):
-                j = step % per_epoch[i]
-                if j == 0:
-                    x_all, y_all, rng = data[i]
-                    shuffle = rng.permutation(sizes[i])
-                    xs[bases[i] : bases[i] + sizes[i]] = x_all[shuffle]
-                    ys[bases[i] : bases[i] + sizes[i]] = y_all[shuffle]
-                lows[i] = bases[i] + j * batch
-                rows = sizes[i] - j * batch
-                if rows < batch:
-                    counts[i] = rows
-                    short.append(i)
-            rows_at = lows[:active, None] + window
-            x, y = xs[rows_at], ys[rows_at]
-            step_loss = _loss_grad_into(spec, t_a, views, g_a, grad_views, x, y, c_a, anc_a, prox_mu)
-            for i in short:
-                counts[i] = batch
+                s_a, r_a = slots[: active * batch], row_offsets[: active * batch]
+            rows = sched.take(s_a + step * batch)
+            x = x_all.take(rows, axis=0).reshape(active, *window)
+            true_class = y_all.take(rows)
+            true_class += r_a
+            counts = true_rows[step][:active] if step in true_rows else None
+            step_loss = _loss_grad_into(
+                spec, t_a, views, g_a, grad_views, x, true_class, counts, anc_a, prox_mu
+            )
             _check_step(spec, step_loss, g_a, t_a)
             if o_a is not None:
                 g_a += o_a

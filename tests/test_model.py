@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from fedsim.model import (
     LocalTrainSpec,
     ModelSpec,
     OptState,
+    _check_step,
     _local_train,
     evaluate,
     forward_loss_grad,
@@ -255,6 +258,19 @@ class TestForwardLossGrad:
         with pytest.raises(NumericError, match="segment"):
             forward_loss_grad(LOGREG, huge, x, y)
 
+    def test_overflow_raises_no_runtime_warning(self):
+        x, y = random_batch(Rng(11), 4, LOGREG)
+        # two biases at 1e308 against a zero anchor: a finite gradient
+        # whose sum overflows, and a loss that overflows
+        theta = np.zeros(15)
+        theta[-2:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="segment"):
+                forward_loss_grad(LOGREG, np.full(15, 1e308), x, y)
+            with pytest.raises(NumericError, match="non-finite loss"):
+                forward_loss_grad(LOGREG, theta, x, y, anchor=np.zeros(15), prox_mu=1.0)
+
     def test_returned_gradient_not_reused(self):
         theta = init_params(MLP, Rng(12))
         x1, y1 = random_batch(Rng(13), 6, MLP)
@@ -270,6 +286,33 @@ class TestForwardLossGrad:
         theta = init_params(LOGREG, Rng(13))
         with pytest.raises(InvalidArgument):
             forward_loss_grad(LOGREG, theta, np.zeros((0, 4)), np.zeros(0, dtype=int))
+
+
+class TestCheckStep:
+    """The per-step finiteness check on a (c, P) gradient stack."""
+
+    def test_finite_gradient_whose_sum_overflows_passes(self):
+        theta = np.zeros((2, MLP.n_params()))
+        grad = np.zeros_like(theta)
+        grad[1, :2] = 1e308
+        with np.errstate(all="ignore"):
+            _check_step(MLP, np.zeros(2), grad, theta)
+
+    def test_nan_names_its_segment(self):
+        theta = np.zeros((3, MLP.n_params()))
+        grad = np.zeros_like(theta)
+        _, start, _, _ = MLP._view_plan[2]  # w2
+        grad[1, start] = np.nan
+        grad[2, 0] = np.nan  # a later client, in w1
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match=r"segment w2$"):
+                _check_step(MLP, np.zeros(3), grad, theta)
+
+    def test_non_finite_loss_alone_raises(self):
+        theta = np.zeros((2, MLP.n_params()))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="non-finite loss"):
+                _check_step(MLP, np.array([0.5, np.inf]), np.zeros_like(theta), theta)
 
 
 class TestSgdStep:
@@ -427,9 +470,9 @@ class TestStacking:
             None if offsets is None else [offsets[k] for k in order],
         )
 
-    def _check(self, sizes, kind, n_classes, prox_mu, with_offsets, seed):
+    def _check(self, sizes, kind, n_classes, prox_mu, with_offsets, seed, epochs=2):
         spec, data, starts, offsets = self._clients(sizes, kind, n_classes, with_offsets, seed)
-        local, opt = LocalTrainSpec(2, 10, prox_mu), OptState(0.05, 0.9)
+        local, opt = LocalTrainSpec(epochs, 10, prox_mu), OptState(0.05, 0.9)
         m = len(sizes)
         out, stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m))
         assert out.shape == (m, spec.n_params())
@@ -455,11 +498,12 @@ class TestStacking:
         prox_mu=st.sampled_from([0.0, 0.3]),
         with_offsets=st.booleans(),
         seed=st.integers(0, 2**16),
+        epochs=st.sampled_from([1, 2, 3]),
     )
     def test_stack_equals_one_client_at_a_time(
-        self, sizes, kind, n_classes, prox_mu, with_offsets, seed
+        self, sizes, kind, n_classes, prox_mu, with_offsets, seed, epochs
     ):
-        self._check(sizes, kind, n_classes, prox_mu, with_offsets, seed)
+        self._check(sizes, kind, n_classes, prox_mu, with_offsets, seed, epochs)
 
     @pytest.mark.parametrize("kind", ["logreg", "mlp"])
     @pytest.mark.parametrize("n_classes", [10, 20])
@@ -467,6 +511,22 @@ class TestStacking:
     def test_every_remainder_in_one_stack(self, kind, n_classes, prox_mu):
         # n = 1..35 with B = 10 gives every remainder 1..9 and full batches
         self._check(list(range(1, 36)), kind, n_classes, prox_mu, True, 7)
+
+    def test_each_stream_ends_after_its_epoch_shuffles(self):
+        # the shuffles are drawn at call start, yet each client's stream
+        # ends where E epoch-by-epoch permutation draws leave it
+        sizes, epochs = [7, 23, 10], 3
+        spec, data, starts, _ = self._clients(sizes, "mlp", 10, False, 5)
+        rngs = [Rng(5, 300 + k) for k in range(len(sizes))]
+        _local_train(
+            spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(epochs, 10),
+            OptState(0.05, 0.9), rngs,
+        )
+        for k, n in enumerate(sizes):
+            fresh = Rng(5, 300 + k)
+            for _ in range(epochs):
+                fresh.permutation(n)
+            assert rngs[k].uniform() == fresh.uniform(), f"client {k} (n={n})"
 
     def test_empty_client_rejected(self):
         spec, data, starts, _ = self._clients([4, 3], "logreg", 10, False, 1)
