@@ -228,7 +228,9 @@ def _loss_grad_into(
         w1, b1, w, b = views
         pre = x @ w1
         pre += b1[:, None]
-        a = np.maximum(pre, 0.0)
+        # the ReLU runs in place, so `pre` is read for its mask first
+        live = pre > 0.0
+        a = np.maximum(pre, 0.0, out=pre)
     z = a @ w
     z += b[:, None]
     dz = _softmax(z)
@@ -249,7 +251,7 @@ def _loss_grad_into(
     np.add.reduce(dz, axis=1, out=gb)
     if spec.kind == "mlp":
         dh = dz @ w.transpose(0, 2, 1)
-        dh *= pre > 0.0
+        dh *= live
         gw1, gb1 = grad_views[:2]
         np.matmul(x.transpose(0, 2, 1), dh, out=gw1)
         np.add.reduce(dh, axis=1, out=gb1)

@@ -105,7 +105,7 @@ def padded_reference_loss_grad(spec, theta, x, y, anchor, prox_mu, batch):
     """The kernel's maths for one client's batch of r <= `batch` rows.
 
     The rows are zero-padded to a `batch`-row window, as the kernel's
-    epoch buffer pads them, and only the r true rows count. The kernel
+    row-index schedule pads them, and only the r true rows count. The kernel
     must equal it bit for bit.
     """
     r = len(y)
