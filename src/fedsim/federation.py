@@ -223,13 +223,21 @@ def scaffold_client_variate(
     local_values: np.ndarray,
     steps: int,
     lr: float,
+    momentum: float = 0.0,
 ) -> np.ndarray:
-    """c_k <- c_k - c + (theta_g - theta_k) / (steps * lr)."""
+    """c_k <- c_k - c + (theta_g - theta_k) / (lr * tau_effective(steps, momentum)).
+
+    SCAFFOLD's option II divides the displacement by the distance the
+    client's steps move it per unit gradient; under SGD momentum that is
+    lr times the effective step count `fuse_fednova` also uses. At
+    momentum 0 the divisor is steps * lr.
+    """
     if lr <= 0.0:
         raise InvalidArgument("scaffold requires lr > 0")
     if steps == 0:
         return old_variate
-    return old_variate - server_variate + (global_values - local_values) / (steps * lr)
+    scale = lr * tau_effective(steps, momentum)
+    return old_variate - server_variate + (global_values - local_values) / scale
 
 
 class _ClientData:
@@ -329,6 +337,7 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
                     local_p,
                     steps,
                     config.lr,
+                    config.momentum,
                 )
                 variate_delta += new_c - scaffold.clients[k]
                 scaffold.clients[k] = new_c

@@ -45,8 +45,8 @@ GOLDEN = {
         0.08625, None, None, 0.0853255404725993, None, 4,
     ),
     ("gfl2", "scaffold", 7): (
-        "78093120b1fb8a3d7a6904b6ec39562065043c7c183c89db898af61e09825827",
-        0.0534375, None, None, 0.08429958521870287, None, 4,
+        "0a4c3a28f5dd2517e498daf7d6822bdc5256b59d2ee450d0c225e46aecce8883",
+        0.09343749999999999, None, None, 0.07503142282554048, None, 4,
     ),
     ("gfl2", "fedavg_ft", 7): (
         "cda269796402a4da5377a3eb3c777ee3f8fbb22785061a999bf09155bb3d250f",
