@@ -29,7 +29,7 @@ from .federation import (
     participant_count,
     run_federation,
 )
-from .metrics import MetricReport, compute_report, newcomer_protocol
+from .metrics import MetricReport, compute_report, newcomer_holdout, newcomer_protocol
 from .model import LocalTrainSpec, ModelSpec, OptState
 from .partition import PartitionSpec, attach_local_tests, make_partitions
 
@@ -497,10 +497,15 @@ def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None)
         inputs[data_key, spec] = attach_local_tests(partitions, test)
     partitions = inputs[data_key, spec]
     fed = cfg.federation_config(seed)
-    result = run_federation(fed, model_spec, partitions, train, test)
+    if cfg.newcomer:
+        # the trainer federation trains in lock-step with the main one
+        newcomers = newcomer_holdout(fed.seed, fed.n_clients)
+        result, trainer = run_federation(fed, model_spec, partitions, train, test, newcomers)
+    else:
+        result = run_federation(fed, model_spec, partitions, train, test)
     report = compute_report(result, fed, model_spec, partitions, test, cfg.digest())
     if cfg.newcomer:
-        nc = newcomer_protocol(fed, model_spec, partitions, train, test)
+        nc = newcomer_protocol(fed, model_spec, partitions, train, test, trainer_result=trainer)
         report = dataclasses.replace(report, newcomer_accuracy=nc.accuracy)
     return report, result, partitions, model_spec, (train, test)
 

@@ -8,15 +8,21 @@ clustered (lowest-loss cluster assignment), solo (no federation).
 Within a round, the selected clients train together in one stacked
 `_local_train` call, each on its own random substream; a client's
 result does not depend on which clients share the stack or their
-order. Fusion consumes the results in client-id order.
+order. Fusion consumes the results in client-id order. Each round loop
+is a generator that yields its round's training job, and
+`run_federation` steps every federation it trains one round at a time,
+so the newcomer protocol's trainer federation shares each round's
+call with the main federation.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
 import struct
 from dataclasses import dataclass, replace
+from typing import Generator, NamedTuple
 
 import numpy as np
 
@@ -24,6 +30,7 @@ from .core import Rng
 from .data import Dataset
 from .errors import IncompatibleShape, InvalidArgument
 from .model import (
+    LocalStats,
     LocalTrainSpec,
     ModelSpec,
     OptState,
@@ -204,16 +211,19 @@ def fuse_fednova(
 
 @dataclass
 class ScaffoldState:
-    """Server and per-client control variates (plain arrays)."""
+    """Server and per-client control variates (plain arrays).
+
+    An update replaces a variate and never writes into it, so the
+    initial client variates share one zero array.
+    """
 
     server: np.ndarray
     clients: dict[int, np.ndarray]
 
     @staticmethod
     def initial(n_params: int, client_ids) -> "ScaffoldState":
-        return ScaffoldState(
-            np.zeros(n_params), {int(k): np.zeros(n_params) for k in client_ids}
-        )
+        zero = np.zeros(n_params)
+        return ScaffoldState(np.zeros(n_params), dict.fromkeys(map(int, client_ids), zero))
 
 
 def scaffold_client_variate(
@@ -248,6 +258,28 @@ class _ClientData:
         self.labels = [train.labels[p.train_indices] for p in partitions]
         self.sizes = [p.n_train for p in partitions]
 
+    def subset(self, positions: list[int]) -> "_ClientData":
+        """The clients at `positions`, numbered from 0; shares their arrays."""
+        sub = copy.copy(self)
+        sub.features = [self.features[k] for k in positions]
+        sub.labels = [self.labels[k] for k in positions]
+        sub.sizes = [self.sizes[k] for k in positions]
+        return sub
+
+
+def trainer_federation(
+    config: FederationConfig, partitions: list[ClientPartition], newcomers: tuple[int, ...]
+) -> tuple[FederationConfig, list[int]]:
+    """The newcomer protocol's trainer federation: its config, and the
+    positions in `partitions` of every client outside `newcomers`, in
+    order. Its client i is `partitions[positions[i]]`. Solo has no
+    shared model to hand over and is rejected."""
+    if config.algorithm == "solo":
+        raise InvalidArgument("solo training produces no model for newcomers")
+    holdout = set(newcomers)
+    positions = [i for i, p in enumerate(partitions) if p.client_id not in holdout]
+    return replace(config, n_clients=len(positions)), positions
+
 
 def run_federation(
     config: FederationConfig,
@@ -255,20 +287,104 @@ def run_federation(
     partitions: list[ClientPartition],
     train: Dataset,
     test: Dataset,
-) -> RunResult:
-    """Execute T communication rounds of the configured algorithm."""
+    newcomers: tuple[int, ...] | None = None,
+) -> RunResult | tuple[RunResult, RunResult]:
+    """Execute T communication rounds of the configured algorithm.
+
+    With `newcomers`, also trains the newcomer protocol's trainer
+    federation (`trainer_federation`) and returns the (main, trainer)
+    results. The two advance in lock-step, one round at a time, and
+    each round's clients of both train in one stacked `_local_train`
+    call; since a client's result does not depend on the rest of the
+    stack, each result is bit-identical to training that federation
+    alone. Within a round the main federation's own work runs first.
+    """
     if len(partitions) != config.n_clients:
         raise InvalidArgument(
             f"config declares {config.n_clients} clients, got {len(partitions)} partitions"
         )
     data = _ClientData(train, partitions)
-    root = Rng(config.seed)
-    opt = OptState(config.lr, config.momentum)
-    if config.algorithm == "solo":
-        return _run_solo(config, model_spec, data, test, root, opt)
-    if config.algorithm == "clustered":
-        return _run_clustered(config, model_spec, data, test, root, opt)
-    return _run_global_family(config, model_spec, data, test, root, opt)
+    federations = [(config, data)]
+    if newcomers is not None:
+        trainer_config, positions = trainer_federation(config, partitions, newcomers)
+        federations.append((trainer_config, data.subset(positions)))
+    loops = [
+        {"solo": _run_solo, "clustered": _run_clustered}
+        .get(cfg.algorithm, _run_global_family)(cfg, model_spec, cfg_data, test)
+        for cfg, cfg_data in federations
+    ]
+    results = _drive(model_spec, OptState(config.lr, config.momentum), loops)
+    return results[0] if newcomers is None else tuple(results)
+
+
+class _Job(NamedTuple):
+    """One round's `_local_train` arguments, less the model and optimiser."""
+
+    starts: list[np.ndarray]
+    features: list[np.ndarray]
+    labels: list[np.ndarray]
+    spec: LocalTrainSpec
+    rngs: list[Rng]
+    grad_offsets: list[np.ndarray] | None = None
+
+
+# a round loop yields a job per round, is sent back the trained rows and
+# stats of that job's clients in its order, and returns its RunResult
+RoundLoop = Generator[_Job, tuple[np.ndarray, LocalStats], RunResult]
+
+
+def _drive(model_spec: ModelSpec, opt: OptState, loops: list[RoundLoop]) -> list[RunResult]:
+    """Advance every round loop by one round at a time until each returns;
+    each round's jobs train together (`_train_jobs`)."""
+    results: list[RunResult | None] = [None] * len(loops)
+    replies = dict.fromkeys(range(len(loops)))
+    while replies:
+        replies = _train_jobs(model_spec, opt, _next_jobs(loops, replies, results))
+    return results
+
+
+def _next_jobs(loops, replies, results) -> dict[int, _Job]:
+    """Send each loop its reply; return the jobs of those still running."""
+    jobs = {}
+    for i, reply in replies.items():
+        try:
+            jobs[i] = loops[i].send(reply)
+        except StopIteration as done:
+            results[i] = done.value
+    return jobs
+
+
+def _train_jobs(model_spec, opt, jobs: dict[int, _Job]) -> dict[int, tuple]:
+    """Train every job in one `_local_train` call, in loop order, and split
+    its rows and stats back per loop.
+
+    The loops come from one config, so their jobs share a train spec and
+    all carry gradient offsets or none. The jobs hold the round's Rngs and
+    offsets, and are dropped on return, before the loops fuse and evaluate.
+    """
+    if not jobs:
+        return {}
+    batch = list(jobs.values())
+    trained, stats = _local_train(
+        model_spec,
+        [theta for job in batch for theta in job.starts],
+        [x for job in batch for x in job.features],
+        [y for job in batch for y in job.labels],
+        batch[0].spec,
+        opt,
+        [rng for job in batch for rng in job.rngs],
+        None if batch[0].grad_offsets is None else [o for job in batch for o in job.grad_offsets],
+    )
+    replies, lo = {}, 0
+    for i, job in jobs.items():
+        hi = lo + len(job.starts)
+        steps = stats.client_steps[lo:hi]
+        # a view would keep the whole stack alive until every loop sharing
+        # it has dropped its rows
+        rows = trained if len(batch) == 1 else trained[lo:hi].copy()
+        replies[i] = rows, LocalStats(sum(steps), steps, stats.mean_losses[lo:hi])
+        lo = hi
+    return replies
 
 
 def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndarray:
@@ -284,13 +400,15 @@ def _stats_tuple(selected, stats, sizes) -> tuple[ClientRoundStat, ...]:
     )
 
 
-def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
+def _run_global_family(config, model_spec, data, test) -> RoundLoop:
     algo = config.algorithm
+    root = Rng(config.seed)
     global_p = init_params(model_spec, root.substream("init", 0))
     boundary = model_spec.local_boundary()
     decoupled = algo == "decoupled"
+    # heads are replaced, never written into, so the initial ones share one copy
     heads = (
-        {k: global_p[boundary:].copy() for k in range(config.n_clients)}
+        dict.fromkeys(range(config.n_clients), global_p[boundary:].copy())
         if decoupled
         else None
     )
@@ -308,13 +426,11 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
         selected = sample_clients(
             root.substream("sample", t), config.n_clients, config.sample_rate
         )
-        trained, stats = _local_train(
-            model_spec,
+        trained, stats = yield _Job(
             [_with_head(global_p, heads[k], boundary) if decoupled else global_p for k in selected],
             [data.features[k] for k in selected],
             [data.labels[k] for k in selected],
             train_spec,
-            opt,
             [root.substream("client", k, t) for k in selected],
             [scaffold.server - scaffold.clients[k] for k in selected] if scaffold else None,
         )
@@ -360,7 +476,8 @@ def _run_global_family(config, model_spec, data, test, root, opt) -> RunResult:
     personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
         personal = _fine_tune_data(
-            global_p, model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
+            global_p, model_spec, data, config.ft_epochs, config.local.batch_size,
+            OptState(config.lr, config.momentum), root,
         )
     elif decoupled:
         personal = {k: _with_head(global_p, heads[k], boundary) for k in range(config.n_clients)}
@@ -404,7 +521,8 @@ def assign_cluster(model_spec, clusters, x, y) -> int:
     return int(np.argmin(losses))
 
 
-def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
+def _run_clustered(config, model_spec, data, test) -> RoundLoop:
+    root = Rng(config.seed)
     clusters = [
         init_params(model_spec, root.substream("init", j)) for j in range(config.n_clusters)
     ]
@@ -418,10 +536,10 @@ def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
             k: assign_cluster(model_spec, clusters, data.features[k], data.labels[k])
             for k in selected
         }
-        trained, stats = _local_train(
-            model_spec, [clusters[assignment[k]] for k in selected],
+        trained, stats = yield _Job(
+            [clusters[assignment[k]] for k in selected],
             [data.features[k] for k in selected], [data.labels[k] for k in selected],
-            config.local, opt, [root.substream("client", k, t) for k in selected],
+            config.local, [root.substream("client", k, t) for k in selected],
         )
         for j in range(config.n_clusters):
             members = [
@@ -446,21 +564,22 @@ def _run_clustered(config, model_spec, data, test, root, opt) -> RunResult:
     return RunResult(logs, clusters[best], personal, final_clusters=list(clusters))
 
 
-def _run_solo(config, model_spec, data, test, root, opt) -> RunResult:
+def _run_solo(config, model_spec, data, test) -> RoundLoop:
     """Local-only training: T rounds of E epochs per client, no fusion.
 
     Each client sees only its own partition. The per-round
     "global" accuracy is the mean of client accuracies on the server
     test set (there is no shared model).
     """
+    root = Rng(config.seed)
     init = init_params(model_spec, root.substream("init", 0))
     selected = tuple(range(config.n_clients))
     models = [init] * config.n_clients
     test_idx = np.arange(test.n_samples)
     logs: list[RoundLog] = []
     for t in range(config.rounds):
-        models, stats = _local_train(
-            model_spec, models, data.features, data.labels, config.local, opt,
+        models, stats = yield _Job(
+            models, data.features, data.labels, config.local,
             [root.substream("client", k, t) for k in selected],
         )
         accs = [evaluate(model_spec, theta, test, test_idx) for theta in models]

@@ -9,7 +9,6 @@ subset). Fairness is the spread of those per-client accuracies.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -24,6 +23,7 @@ from .federation import (
     assign_cluster,
     participant_count,
     run_federation,
+    trainer_federation,
 )
 from .model import LocalTrainSpec, ModelSpec, OptState, _local_train, evaluate
 from .partition import ClientPartition
@@ -159,26 +159,26 @@ def newcomer_protocol(
     train: Dataset,
     test: Dataset,
     ft_epochs: int | None = None,
+    trainer_result: RunResult | None = None,
 ) -> NewcomerResult:
     """Reserve 20% of clients, train on the rest, adapt the newcomers.
 
     Newcomers receive the trained model (their best-loss cluster for
     the clustered algorithm), fine-tune locally, and are scored with
-    the personalized metric semantics. Solo has no shared model to
-    hand over and is rejected.
+    the personalized metric semantics. `trainer_result` is the trainer
+    federation's result as `run_federation` returns it beside the main
+    one when given these newcomers; without it the trainer federation
+    is trained here. Solo has no shared model to hand over and is
+    rejected.
     """
-    if config.algorithm == "solo":
-        raise InvalidArgument("solo training produces no model for newcomers")
     if len(partitions) != config.n_clients:
         raise InvalidArgument("partitions must match config.n_clients")
     newcomers = newcomer_holdout(config.seed, config.n_clients)
-    holdout = set(newcomers)
-    trainer_parts = [
-        dataclasses.replace(p, client_id=i)
-        for i, p in enumerate(p for p in partitions if p.client_id not in holdout)
-    ]
-    trainer_config = dataclasses.replace(config, n_clients=len(trainer_parts))
-    result = run_federation(trainer_config, model_spec, trainer_parts, train, test)
+    trainer_config, positions = trainer_federation(config, partitions, newcomers)
+    result = trainer_result
+    if result is None:
+        trainer_parts = [partitions[i] for i in positions]
+        result = run_federation(trainer_config, model_spec, trainer_parts, train, test)
 
     epochs = config.ft_epochs if ft_epochs is None else ft_epochs
     local = LocalTrainSpec(epochs=epochs, batch_size=config.local.batch_size)

@@ -5,7 +5,8 @@ import pytest
 
 from conftest import balanced_dataset
 from fedsim.core import Rng
-from fedsim.errors import IncompatibleShape, InvalidArgument
+from fedsim import federation
+from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
 from fedsim.experiment import config_from_entries, run_single
 from fedsim.federation import (
     FederationConfig,
@@ -20,7 +21,7 @@ from fedsim.federation import (
     scaffold_client_variate,
     tau_effective,
 )
-from fedsim.metrics import local_test_accuracies, pfl_metric
+from fedsim.metrics import local_test_accuracies, newcomer_holdout, newcomer_protocol, pfl_metric
 from fedsim.model import LocalTrainSpec, ModelSpec, OptState, _local_train, init_params
 from fedsim.partition import (
     ClientPartition,
@@ -440,6 +441,82 @@ class TestRunFederation:
         assert len(set(bodies.values())) == 1  # shared global body
         heads = {k: p[boundary:].tobytes() for k, p in result.final_personal.items()}
         assert len(set(heads.values())) > 1  # personal heads
+
+
+LOCKSTEP_ALGORITHMS = (
+    "fedavg", "fedprox", "fednova", "scaffold", "fedavg_ft", "decoupled", "clustered",
+)
+
+
+class TestLockStep:
+    """With newcomers, the main and trainer federations share each round's
+    stacked call, and each result equals training that federation alone."""
+
+    @pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
+    def test_each_result_equals_its_federation_alone(self, algorithm, monkeypatch):
+        train, test, parts, _ = small_setup(n_clients=10)
+        model = ModelSpec("mlp", 8, 5, hidden=6, layer_split=2)
+        cfg = config(algorithm, n_clients=10, rounds=4, sample_rate=0.3, mu=0.05, ft_epochs=2)
+        newcomers = newcomer_holdout(cfg.seed, cfg.n_clients)
+        main_alone = run_federation(cfg, model, parts, train, test)
+        trainer_alone = newcomer_protocol(cfg, model, parts, train, test).trainer_result
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return _local_train(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_local_train", counting)
+        main, trainer = run_federation(cfg, model, parts, train, test, newcomers)
+        assert main.digest() == main_alone.digest()
+        assert trainer.digest() == trainer_alone.digest()
+        # one call per round holding both federations' clients (3 + 2),
+        # plus each federation's own fine-tune call for fedavg_ft
+        assert calls[: cfg.rounds] == [5] * cfg.rounds
+        assert calls[cfg.rounds :] == ([10, 8] if algorithm == "fedavg_ft" else [])
+
+    def test_diverging_trainer_raises_its_own_error(self):
+        # Every client holds one batch except one with three. At lr 1e200
+        # one step leaves finite parameters and the second overflows, so
+        # only a federation that samples the long client diverges. Pick a
+        # seed whose trainer federation samples it in round 0 and whose
+        # main federation does not.
+        for seed in range(100):
+            newcomers = newcomer_holdout(seed, 10)
+            trainers = [k for k in range(10) if k not in newcomers]
+            long_client = trainers[sample_clients(Rng(seed).substream("sample", 0), 8, 0.2)[0]]
+            if long_client not in sample_clients(Rng(seed).substream("sample", 0), 10, 0.2):
+                break
+        train, test = balanced_dataset(n_classes=5, per_class=40, n_features=8, seed=3)
+        parts, start = [], 0
+        for k in range(10):
+            idx = np.arange(start, start + (30 if k == long_client else 10))
+            parts.append(ClientPartition(k, idx, frozenset(train.labels[idx].tolist())))
+            start += len(idx)
+        model = ModelSpec("mlp", 8, 5, hidden=6)
+        cfg = config(
+            "fedavg", n_clients=10, rounds=1, seed=seed, sample_rate=0.2, lr=1e200,
+            local=LocalTrainSpec(epochs=1, batch_size=10),
+        )
+        with np.errstate(all="ignore"):
+            run_federation(cfg, model, parts, train, test)  # the main federation alone is finite
+            with pytest.raises(NumericError) as alone:
+                newcomer_protocol(cfg, model, parts, train, test)
+            with pytest.raises(NumericError) as together:
+                run_federation(cfg, model, parts, train, test, newcomer_holdout(seed, 10))
+        assert str(together.value) == str(alone.value)
+
+    def test_solo_with_newcomers_rejected_before_training(self, monkeypatch):
+        train, test, parts, model = small_setup(n_clients=10)
+        cfg = config("solo", n_clients=10)
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting solo")
+
+        monkeypatch.setattr(federation, "_local_train", no_training)
+        with pytest.raises(InvalidArgument, match="solo training produces no model"):
+            run_federation(cfg, model, parts, train, test, newcomer_holdout(cfg.seed, 10))
 
 
 class TestFineTune:

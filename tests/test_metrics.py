@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import balanced_dataset
 from fedsim.core import Rng
+from fedsim import federation
 from fedsim.errors import InvalidArgument
+from fedsim.experiment import config_from_entries, run_single
 from fedsim.federation import FederationConfig, run_federation
 from fedsim.metrics import (
     compute_report,
@@ -185,6 +187,29 @@ class TestNewcomerProtocol:
         solo = dataclasses.replace(cfg, algorithm="solo")
         with pytest.raises(InvalidArgument):
             newcomer_protocol(solo, model, parts, train, test)
+
+    @pytest.mark.parametrize("algorithm", ["fedavg_ft", "clustered"])
+    def test_lockstep_trainer_result_matches_training_it_here(self, algorithm):
+        train, test, parts, model, cfg = _small_federation(n_clients=10, algorithm=algorithm)
+        newcomers = newcomer_holdout(cfg.seed, cfg.n_clients)
+        _, trainer = run_federation(cfg, model, parts, train, test, newcomers)
+        given = newcomer_protocol(cfg, model, parts, train, test, trainer_result=trainer)
+        alone = newcomer_protocol(cfg, model, parts, train, test)
+        assert given.trainer_result is trainer
+        assert trainer.digest() == alone.trainer_result.digest()
+        assert given.per_newcomer == alone.per_newcomer
+        assert given.accuracy == alone.accuracy
+
+    def test_run_single_rejects_solo_newcomers_before_training(self, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before rejecting solo")
+
+        monkeypatch.setattr(federation, "_local_train", no_training)
+        cfg = config_from_entries({
+            "preset": "gfl2", "federation.algorithm": "solo", "newcomer": "true",
+        })
+        with pytest.raises(InvalidArgument, match="solo training produces no model"):
+            run_single(cfg, 1)
 
     def test_duplicated_client_matches_trainer(self):
         # A newcomer whose data duplicates a trainer's must score close
