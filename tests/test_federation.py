@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import balanced_dataset
-from fedsim.core import Rng
 from fedsim import federation
+from fedsim.core import Rng
 from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
 from fedsim.experiment import config_from_entries, run_single
 from fedsim.federation import (
@@ -211,7 +211,6 @@ class TestScaffold:
         for state in states:
             mean_variate = sum(state.clients.values()) / len(state.clients)
             assert np.linalg.norm(mean_variate - state.server) <= 1e-9
-
 
     def test_momentum_variates_keep_scaffold_near_fedavg(self):
         # Under the default momentum of 0.9 a variate divided by steps * lr
@@ -479,15 +478,13 @@ class TestLockStep:
     def test_diverging_trainer_raises_its_own_error(self):
         # Every client holds one batch except one with three. At lr 1e200
         # one step leaves finite parameters and the second overflows, so
-        # only a federation that samples the long client diverges. Pick a
-        # seed whose trainer federation samples it in round 0 and whose
-        # main federation does not.
-        for seed in range(100):
-            newcomers = newcomer_holdout(seed, 10)
-            trainers = [k for k in range(10) if k not in newcomers]
-            long_client = trainers[sample_clients(Rng(seed).substream("sample", 0), 8, 0.2)[0]]
-            if long_client not in sample_clients(Rng(seed).substream("sample", 0), 10, 0.2):
-                break
+        # only a federation that samples the long client diverges. At seed
+        # 0 the trainer federation samples it in round 0 and the main one
+        # does not.
+        seed = 0
+        trainers = [k for k in range(10) if k not in newcomer_holdout(seed, 10)]
+        long_client = trainers[sample_clients(Rng(seed).substream("sample", 0), 8, 0.2)[0]]
+        assert long_client not in sample_clients(Rng(seed).substream("sample", 0), 10, 0.2)
         train, test = balanced_dataset(n_classes=5, per_class=40, n_features=8, seed=3)
         parts, start = [], 0
         for k in range(10):

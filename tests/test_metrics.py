@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import balanced_dataset
-from fedsim.core import Rng
 from fedsim import federation
+from fedsim.core import Rng
 from fedsim.errors import InvalidArgument
 from fedsim.experiment import config_from_entries, run_single
 from fedsim.federation import FederationConfig, run_federation
