@@ -119,3 +119,37 @@ def test_golden_run(case):
         f"golden drift for preset={preset} algorithm={algorithm} seed={seed}: "
         f"new digest {got[0]}, new values {got[1:]!r}"
     )
+
+
+# (algorithm, extra entries) on the gfl2 geometry above at 4 rounds and
+# 1 local epoch, for settings the per-algorithm goldens do not reach:
+# momentum 0 for every algorithm, decoupled at layer_split 1, clustered
+# at 1 and 3 clusters, fedprox at a second mu and solo at C = 0.1
+SETTING_CASES = (
+    *((algorithm, {"train.momentum": "0"}) for algorithm in (
+        "fedavg", "fedprox", "fednova", "scaffold", "fedavg_ft", "decoupled", "clustered", "solo",
+    )),
+    ("decoupled", {"model.layer_split": "1"}),
+    ("clustered", {"algo.n_clusters": "1"}),
+    ("clustered", {"algo.n_clusters": "3"}),
+    ("fedprox", {"algo.mu": "0.05"}),
+    ("solo", {"federation.sample_rate": "0.1"}),
+)
+SETTINGS_GOLDEN = "efc62f889f0fd552bd07d38ddac7d0dc09bb18506d400fc7edf04deacfeba243"
+
+
+def test_golden_settings():
+    combined = hashlib.sha256()
+    for algorithm, extra in SETTING_CASES:
+        entries = {**_entries("gfl2", algorithm), "federation.rounds": "4", "train.epochs": "1"}
+        entries.update(extra)
+        report, result, *_ = run_single(config_from_entries(entries), 7)
+        combined.update(result.digest().encode())
+        combined.update(repr((
+            report.gfl_accuracy,
+            report.pfl_accuracy,
+            report.fairness,
+            report.newcomer_accuracy,
+            _per_client_hash(report.per_client_accuracies),
+        )).encode())
+    assert combined.hexdigest() == SETTINGS_GOLDEN, f"golden drift: new digest {combined.hexdigest()}"
