@@ -5,14 +5,23 @@ Global algorithms: fedavg, fedprox (proximal local objective), fednova
 fedavg_ft (post-hoc fine-tuning), decoupled (local classifier head),
 clustered (lowest-loss cluster assignment), solo (no federation).
 
-Within a round, the selected clients train together in one stacked
-`_local_train` call, each on its own random substream; a client's
-result does not depend on which clients share the stack or their
-order. Fusion consumes the results in client-id order. Each round loop
-is a generator that yields its round's training job, and
-`run_federation` steps every federation it trains one round at a time,
-so the newcomer protocol's trainer federation shares each round's
-call with the main federation.
+All of them run one round loop, `_round_loop`, over a pool of models:
+one shared model, `n_clusters` for clustered, one per client for solo.
+Each round it samples clients (solo takes all), maps each to its pool
+slot, trains them from there, fuses each slot's members and evaluates
+the pool. An algorithm changes only some steps: fedprox the train spec,
+scaffold the gradient offsets and the fusion, fednova the fusion,
+decoupled the start (it splices in the client's head), clustered and
+solo the slot, solo the fusion (none) and the accuracy (the pool's
+mean, not its best), and the personalized ones the models they keep.
+
+The selected clients train together in one stacked `_local_train`
+call, each on its own random substream; a client's result does not
+depend on which clients share the stack or their order. Fusion
+consumes the results in client-id order. The loop is a generator that
+yields its round's job, and `run_federation` steps every federation it
+trains one round at a time, so the newcomer protocol's trainer
+federation shares each round's call with the main federation.
 """
 
 from __future__ import annotations
@@ -85,6 +94,8 @@ class FederationConfig:
             raise InvalidArgument("mu and ft_epochs must be >= 0")
         if self.n_clusters < 1:
             raise InvalidArgument("n_clusters must be >= 1")
+        if self.local.prox_mu != 0.0:
+            raise InvalidArgument("local.prox_mu must be 0; fedprox's proximal term is set by mu")
 
 
 @dataclass(frozen=True)
@@ -308,11 +319,7 @@ def run_federation(
     if newcomers is not None:
         trainer_config, positions = trainer_federation(config, partitions, newcomers)
         federations.append((trainer_config, data.subset(positions)))
-    loops = [
-        {"solo": _run_solo, "clustered": _run_clustered}
-        .get(cfg.algorithm, _run_global_family)(cfg, model_spec, cfg_data, test)
-        for cfg, cfg_data in federations
-    ]
+    loops = [_round_loop(cfg, model_spec, cfg_data, test) for cfg, cfg_data in federations]
     results = _drive(model_spec, OptState(config.lr, config.momentum), loops)
     return results[0] if newcomers is None else tuple(results)
 
@@ -393,41 +400,69 @@ def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndar
     return theta
 
 
-def _stats_tuple(selected, stats, sizes) -> tuple[ClientRoundStat, ...]:
-    return tuple(
-        ClientRoundStat(k, sizes[k], steps, loss)
-        for k, steps, loss in zip(selected, stats.client_steps, stats.mean_losses)
-    )
+def _slot(config, model_spec, pool, data, k) -> int:
+    """Client k's pool model: its lowest-loss cluster, its own (solo), or the shared one."""
+    if config.algorithm == "clustered":
+        return assign_cluster(model_spec, pool, data.features[k], data.labels[k])
+    return k if config.algorithm == "solo" else 0
 
 
-def _run_global_family(config, model_spec, data, test) -> RoundLoop:
-    algo = config.algorithm
+def _fuse(config, theta, members, sizes, scaffold) -> np.ndarray:
+    """Pool model `theta` fused from its members' (client id, trained
+    row, steps), by fednova, scaffold, or fedavg for every other algorithm."""
+    if config.algorithm == "fednova":
+        updates = [(local_p - theta, sizes[k], steps) for k, local_p, steps in members]
+        return fuse_fednova(updates, theta, config.momentum)
+    if config.algorithm == "scaffold":
+        delta = np.zeros(len(theta))
+        variate_delta = np.zeros(len(theta))
+        for k, local_p, steps in members:
+            delta += local_p - theta
+            new_c = scaffold_client_variate(
+                scaffold.clients[k],
+                scaffold.server,
+                theta,
+                local_p,
+                steps,
+                config.lr,
+                config.momentum,
+            )
+            variate_delta += new_c - scaffold.clients[k]
+            scaffold.clients[k] = new_c
+        scaffold.server = scaffold.server + variate_delta / config.n_clients
+        return theta + delta / len(members)
+    return fuse_fedavg([(local_p, sizes[k]) for k, local_p, _ in members])
+
+
+def _round_loop(config, model_spec, data, test) -> RoundLoop:
+    """The round protocol of every algorithm over its pool of models."""
+    algo, n = config.algorithm, config.n_clients
     root = Rng(config.seed)
-    global_p = init_params(model_spec, root.substream("init", 0))
+    pool = [
+        init_params(model_spec, root.substream("init", j))
+        for j in range(config.n_clusters if algo == "clustered" else 1)
+    ]
+    if algo == "solo":
+        pool *= n
     boundary = model_spec.local_boundary()
-    decoupled = algo == "decoupled"
     # heads are replaced, never written into, so the initial ones share one copy
-    heads = (
-        dict.fromkeys(range(config.n_clients), global_p[boundary:].copy())
-        if decoupled
-        else None
-    )
-    scaffold = (
-        ScaffoldState.initial(len(global_p), range(config.n_clients))
-        if algo == "scaffold"
-        else None
-    )
-    prox_mu = config.mu if algo == "fedprox" else 0.0
-    train_spec = replace(config.local, prox_mu=prox_mu)
+    heads = dict.fromkeys(range(n), pool[0][boundary:].copy()) if algo == "decoupled" else None
+    scaffold = ScaffoldState.initial(len(pool[0]), range(n)) if algo == "scaffold" else None
+    train_spec = replace(config.local, prox_mu=config.mu if algo == "fedprox" else 0.0)
     test_idx = np.arange(test.n_samples)
     logs: list[RoundLog] = []
 
     for t in range(config.rounds):
-        selected = sample_clients(
-            root.substream("sample", t), config.n_clients, config.sample_rate
+        selected = (
+            tuple(range(n)) if algo == "solo"
+            else sample_clients(root.substream("sample", t), n, config.sample_rate)
         )
+        slots = [_slot(config, model_spec, pool, data, k) for k in selected]
+        starts = [pool[j] for j in slots]
+        if heads is not None:
+            starts = [_with_head(theta, heads[k], boundary) for k, theta in zip(selected, starts)]
         trained, stats = yield _Job(
-            [_with_head(global_p, heads[k], boundary) if decoupled else global_p for k in selected],
+            starts,
             [data.features[k] for k in selected],
             [data.labels[k] for k in selected],
             train_spec,
@@ -435,53 +470,39 @@ def _run_global_family(config, model_spec, data, test) -> RoundLoop:
             [scaffold.server - scaffold.clients[k] for k in selected] if scaffold else None,
         )
 
-        if algo == "fednova":
-            updates = [
-                (local_p - global_p, data.sizes[k], steps)
-                for k, local_p, steps in zip(selected, trained, stats.client_steps)
-            ]
-            global_p = fuse_fednova(updates, global_p, config.momentum)
-        elif algo == "scaffold":
-            delta = np.zeros(len(global_p))
-            variate_delta = np.zeros(len(global_p))
-            for k, local_p, steps in zip(selected, trained, stats.client_steps):
-                delta += local_p - global_p
-                new_c = scaffold_client_variate(
-                    scaffold.clients[k],
-                    scaffold.server,
-                    global_p,
-                    local_p,
-                    steps,
-                    config.lr,
-                    config.momentum,
-                )
-                variate_delta += new_c - scaffold.clients[k]
-                scaffold.clients[k] = new_c
-            m = len(selected)
-            global_p = global_p + delta / m
-            scaffold.server = scaffold.server + variate_delta / config.n_clients
+        if algo == "solo":
+            pool = list(trained)
         else:
-            fused = fuse_fedavg([(local_p, data.sizes[k]) for k, local_p in zip(selected, trained)])
-            if decoupled:
-                for k, local_p in zip(selected, trained):
-                    heads[k] = local_p[boundary:].copy()
-            global_p = fused
-        model_spec.check_finite(global_p)
+            members: dict[int, list] = {}
+            for k, j, local_p, steps in zip(selected, slots, trained, stats.client_steps):
+                members.setdefault(j, []).append((k, local_p, steps))
+            for j in sorted(members):
+                pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
+                model_spec.check_finite(pool[j])
+        if heads is not None:
+            for k, local_p in zip(selected, trained):
+                heads[k] = local_p[boundary:].copy()
 
-        acc = evaluate(model_spec, global_p, test, test_idx)
-        logs.append(
-            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, stats, data.sizes))
+        accs = [evaluate(model_spec, theta, test, test_idx) for theta in pool]
+        acc = float(np.mean(accs)) if algo == "solo" else max(accs)
+        client_stats = tuple(
+            ClientRoundStat(k, data.sizes[k], steps, loss)
+            for k, steps, loss in zip(selected, stats.client_steps, stats.mean_losses)
         )
+        logs.append(RoundLog(t, selected, len(selected), acc, client_stats))
 
     personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
         personal = _fine_tune_data(
-            global_p, model_spec, data, config.ft_epochs, config.local.batch_size,
+            pool[0], model_spec, data, config.ft_epochs, config.local.batch_size,
             OptState(config.lr, config.momentum), root,
         )
-    elif decoupled:
-        personal = {k: _with_head(global_p, heads[k], boundary) for k in range(config.n_clients)}
-    return RunResult(logs, global_p, personal)
+    elif heads is not None:
+        personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
+    elif algo in ("clustered", "solo"):
+        personal = {k: pool[_slot(config, model_spec, pool, data, k)] for k in range(n)}
+    final_global = None if algo == "solo" else pool[int(np.argmax(accs))]
+    return RunResult(logs, final_global, personal, pool if algo == "clustered" else None)
 
 
 def _fine_tune_data(
@@ -519,74 +540,3 @@ def assign_cluster(model_spec, clusters, x, y) -> int:
         np.broadcast_to(y, (k, *y.shape)), None, 0.0,
     )
     return int(np.argmin(losses))
-
-
-def _run_clustered(config, model_spec, data, test) -> RoundLoop:
-    root = Rng(config.seed)
-    clusters = [
-        init_params(model_spec, root.substream("init", j)) for j in range(config.n_clusters)
-    ]
-    test_idx = np.arange(test.n_samples)
-    logs: list[RoundLog] = []
-    for t in range(config.rounds):
-        selected = sample_clients(
-            root.substream("sample", t), config.n_clients, config.sample_rate
-        )
-        assignment = {
-            k: assign_cluster(model_spec, clusters, data.features[k], data.labels[k])
-            for k in selected
-        }
-        trained, stats = yield _Job(
-            [clusters[assignment[k]] for k in selected],
-            [data.features[k] for k in selected], [data.labels[k] for k in selected],
-            config.local, [root.substream("client", k, t) for k in selected],
-        )
-        for j in range(config.n_clusters):
-            members = [
-                (local_p, data.sizes[k])
-                for k, local_p in zip(selected, trained)
-                if assignment[k] == j
-            ]
-            if members:
-                clusters[j] = fuse_fedavg(members)
-                model_spec.check_finite(clusters[j])
-        cluster_accs = [evaluate(model_spec, c, test, test_idx) for c in clusters]
-        acc = max(cluster_accs)
-        logs.append(
-            RoundLog(t, selected, len(selected), acc, _stats_tuple(selected, stats, data.sizes))
-        )
-    final_accs = [evaluate(model_spec, c, test, test_idx) for c in clusters]
-    best = int(np.argmax(final_accs))
-    personal = {
-        k: clusters[assign_cluster(model_spec, clusters, data.features[k], data.labels[k])]
-        for k in range(config.n_clients)
-    }
-    return RunResult(logs, clusters[best], personal, final_clusters=list(clusters))
-
-
-def _run_solo(config, model_spec, data, test) -> RoundLoop:
-    """Local-only training: T rounds of E epochs per client, no fusion.
-
-    Each client sees only its own partition. The per-round
-    "global" accuracy is the mean of client accuracies on the server
-    test set (there is no shared model).
-    """
-    root = Rng(config.seed)
-    init = init_params(model_spec, root.substream("init", 0))
-    selected = tuple(range(config.n_clients))
-    models = [init] * config.n_clients
-    test_idx = np.arange(test.n_samples)
-    logs: list[RoundLog] = []
-    for t in range(config.rounds):
-        models, stats = yield _Job(
-            models, data.features, data.labels, config.local,
-            [root.substream("client", k, t) for k in selected],
-        )
-        accs = [evaluate(model_spec, theta, test, test_idx) for theta in models]
-        logs.append(
-            RoundLog(
-                t, selected, len(selected), float(np.mean(accs)),
-                _stats_tuple(selected, stats, data.sizes),
-            )
-        )
-    return RunResult(logs, None, dict(zip(selected, models)))

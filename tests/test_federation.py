@@ -365,6 +365,14 @@ class TestRunFederation:
         with pytest.raises(InvalidArgument):
             run_federation(cfg, model, parts, train, test)
 
+    @pytest.mark.parametrize("algorithm", ["fedavg", "clustered", "solo"])
+    def test_local_prox_mu_is_rejected(self, algorithm):
+        # mu is the one proximal knob; a second one in the train spec
+        # would reach the clients of some algorithms and not others
+        local = LocalTrainSpec(epochs=2, batch_size=10, prox_mu=0.01)
+        with pytest.raises(InvalidArgument, match="mu"):
+            config(algorithm, local=local)
+
     def test_same_seed_same_digest(self):
         train, test, parts, model = small_setup()
         cfg = config("scaffold", momentum=0.0)
