@@ -131,8 +131,14 @@ def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         w, b = _unpack(spec, theta)
         return x @ w + b
     w1, b1, w2, b2 = _unpack(spec, theta)
-    hidden = np.maximum(x @ w1 + b1, 0.0)
-    return hidden @ w2 + b2
+    # each layer is built in place, one array per layer: evaluation is
+    # the memory peak of most runs
+    hidden = x @ w1
+    hidden += b1
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w2
+    logits += b2
+    return logits
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
