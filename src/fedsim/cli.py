@@ -12,8 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .core import Rng
-from .data import generate_synthetic, load_mnist_dir
+from .core import hash64
 from .errors import ConfigError, FedsimError
 from .experiment import (
     ExperimentConfig,
@@ -21,9 +20,10 @@ from .experiment import (
     incentive_boundary,
     load_config,
     parse_csv_rows,
+    run_inputs,
     run_sweep,
 )
-from .partition import attach_local_tests, make_partitions, manifest_jsonl, manifest_lines
+from .partition import manifest_jsonl, manifest_lines
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -61,13 +61,8 @@ def _out_dir(cfg: ExperimentConfig, default: str) -> Path:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    root = Rng(cfg.seed)
-    if cfg.dataset == "synthetic":
-        train, test = generate_synthetic(cfg.synthetic, root.substream("data"))
-    else:
-        train, test = load_mnist_dir(cfg.mnist_dir)
-    parts = make_partitions(train, cfg.partition_spec(), root.substream("partition"))
-    parts = attach_local_tests(parts, test)
+    # run 0's seed: these are the partitions that run 0 trains on
+    train, _, parts = run_inputs(cfg, hash64(cfg.seed, 0))
     out = _out_dir(cfg, "partition-out")
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.txt").write_text("\n".join(manifest_lines(parts)) + "\n")

@@ -29,7 +29,7 @@ from .federation import (
     participant_count,
     run_federation,
 )
-from .metrics import MetricReport, compute_report, newcomer_holdout, newcomer_protocol
+from .metrics import MetricReport, compute_report, newcomer_protocol
 from .model import LocalTrainSpec, ModelSpec, OptState
 from .partition import PartitionSpec, attach_local_tests, make_partitions
 
@@ -468,21 +468,20 @@ CSV_COLUMNS = (
 )
 
 
-def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None):
-    """One full pipeline pass: data, partition, federate, measure.
+def run_inputs(cfg: ExperimentConfig, seed: int, cache: dict | None = None):
+    """The (train, test) pair and attached partitions that `cfg` trains on
+    at `seed`.
 
     Data and partitions are drawn from substreams of `seed` alone, so
     configs run at one seed see the same (train, test) pair when their
     dataset matches, and the same partitions when their partition spec
-    matches too. `_inputs` is internal:
-    `run_sweep` passes one dict per run, which holds the (train, test)
-    pair by dataset key and the attached partitions by (dataset key,
-    partition spec), so the cells of that run build each only once.
-    Nothing downstream mutates them, so a shared entry gives the same
-    result as one built here.
+    matches too. `cache` holds the pair by dataset key and the attached
+    partitions by (dataset key, partition spec), so callers that pass
+    one dict build each only once. Nothing downstream mutates them, so
+    a shared entry gives the same result as one built here.
     """
     root = Rng(seed)
-    inputs = {} if _inputs is None else _inputs
+    inputs = {} if cache is None else cache
     data_key = (cfg.dataset, cfg.synthetic if cfg.dataset == "synthetic" else cfg.mnist_dir)
     if data_key not in inputs:
         if cfg.dataset == "synthetic":
@@ -490,23 +489,29 @@ def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None)
         else:
             inputs[data_key] = load_mnist_dir(cfg.mnist_dir)
     train, test = inputs[data_key]
-    model_spec = cfg.model_spec(train)
     spec = cfg.partition_spec()
     if (data_key, spec) not in inputs:
         partitions = make_partitions(train, spec, root.substream("partition"))
         inputs[data_key, spec] = attach_local_tests(partitions, test)
-    partitions = inputs[data_key, spec]
+    return train, test, inputs[data_key, spec]
+
+
+def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None):
+    """One full pipeline pass: data, partition, federate, measure.
+
+    `_inputs` is internal: `run_sweep` passes one `run_inputs` cache per
+    run, so the cells of that run share its data and partitions.
+    """
+    train, test, partitions = run_inputs(cfg, seed, _inputs)
+    model_spec = cfg.model_spec(train)
     fed = cfg.federation_config(seed)
+    newcomer_accuracy = None
     if cfg.newcomer:
-        # the trainer federation trains in lock-step with the main one
-        newcomers = newcomer_holdout(fed.seed, fed.n_clients)
-        result, trainer = run_federation(fed, model_spec, partitions, train, test, newcomers)
+        result, newcomer_accuracy = newcomer_protocol(fed, model_spec, partitions, train, test)
     else:
         result = run_federation(fed, model_spec, partitions, train, test)
-    report = compute_report(result, fed, model_spec, partitions, test, cfg.digest())
-    if cfg.newcomer:
-        nc = newcomer_protocol(fed, model_spec, partitions, train, test, trainer_result=trainer)
-        report = dataclasses.replace(report, newcomer_accuracy=nc.accuracy)
+    report = compute_report(result, fed, model_spec, partitions, test)
+    report = dataclasses.replace(report, newcomer_accuracy=newcomer_accuracy)
     return report, result, partitions, model_spec, (train, test)
 
 
@@ -613,8 +618,6 @@ class LevelVerdict:
     gfl_mean: float
     pfl_mean: float
     winner: str
-    solo_mean: float | None = None
-    solo_std: float | None = None
     neither_incentivized: bool = False
 
 
@@ -676,7 +679,6 @@ def incentive_boundary(
         else:
             winner = "tie"
         solo_rows = [r for r in at if r.algorithm == "solo" and r.metric == "pfl-accuracy"]
-        solo_mean = solo_std = None
         neither = False
         if solo_rows:
             solo_mean = _mean_of(solo_rows)
@@ -684,9 +686,7 @@ def incentive_boundary(
                 statistics.stdev(r.value for r in solo_rows) if len(solo_rows) > 1 else 0.0
             )
             neither = max(gfl_mean, pfl_mean) - solo_mean <= solo_std
-        verdicts.append(
-            LevelVerdict(level, gfl_mean, pfl_mean, winner, solo_mean, solo_std, neither)
-        )
+        verdicts.append(LevelVerdict(level, gfl_mean, pfl_mean, winner, neither))
     boundary: tuple[float, float] | str | None
     winners = [v.winner for v in verdicts]
     if all(w == "tie" for w in winners):

@@ -23,7 +23,6 @@ from .federation import (
     assign_cluster,
     participant_count,
     run_federation,
-    trainer_federation,
 )
 from .model import LocalTrainSpec, ModelSpec, OptState, _local_train, evaluate
 from .partition import ClientPartition
@@ -33,17 +32,9 @@ NEWCOMER_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
-class Provenance:
-    seed: int
-    config_digest: str
-    runs_averaged: int = 1
-
-
-@dataclass(frozen=True)
 class MetricReport:
     gfl_accuracy: float
     window: int
-    provenance: Provenance
     pfl_accuracy: float | None = None
     fairness: float | None = None
     newcomer_accuracy: float | None = None
@@ -109,7 +100,6 @@ def compute_report(
     model_spec: ModelSpec,
     partitions: list[ClientPartition],
     test: Dataset,
-    config_digest: str = "",
 ) -> MetricReport:
     """Metric bundle for one finished run."""
     window = participant_count(config.n_clients, config.sample_rate)
@@ -128,19 +118,10 @@ def compute_report(
     return MetricReport(
         gfl_accuracy=gfl,
         window=window,
-        provenance=Provenance(config.seed, config_digest),
         pfl_accuracy=pfl,
         fairness=fairness,
         per_client_accuracies=per_client,
     )
-
-
-@dataclass(frozen=True)
-class NewcomerResult:
-    accuracy: float
-    newcomer_ids: tuple[int, ...]
-    per_newcomer: dict[int, float]
-    trainer_result: RunResult
 
 
 def newcomer_holdout(seed: int, n_clients: int) -> tuple[int, ...]:
@@ -158,30 +139,21 @@ def newcomer_protocol(
     partitions: list[ClientPartition],
     train: Dataset,
     test: Dataset,
-    ft_epochs: int | None = None,
-    trainer_result: RunResult | None = None,
-) -> NewcomerResult:
+) -> tuple[RunResult, float]:
     """Reserve 20% of clients, train on the rest, adapt the newcomers.
 
-    Newcomers receive the trained model (their best-loss cluster for
-    the clustered algorithm), fine-tune locally, and are scored with
-    the personalized metric semantics. `trainer_result` is the trainer
-    federation's result as `run_federation` returns it beside the main
-    one when given these newcomers; without it the trainer federation
-    is trained here. Solo has no shared model to hand over and is
-    rejected.
+    The main federation (all clients) and the trainer federation (all
+    but the newcomers) train in lock-step in one `run_federation` call.
+    Newcomers then receive the trainer's model (their best-loss cluster
+    for the clustered algorithm), fine-tune locally, and are scored by
+    the personalized rule, `local_test_accuracies`. Returns the main
+    federation's result and the newcomers' mean accuracy. Solo has no
+    shared model to hand over and is rejected.
     """
-    if len(partitions) != config.n_clients:
-        raise InvalidArgument("partitions must match config.n_clients")
     newcomers = newcomer_holdout(config.seed, config.n_clients)
-    trainer_config, positions = trainer_federation(config, partitions, newcomers)
-    result = trainer_result
-    if result is None:
-        trainer_parts = [partitions[i] for i in positions]
-        result = run_federation(trainer_config, model_spec, trainer_parts, train, test)
+    result, trainer = run_federation(config, model_spec, partitions, train, test, newcomers)
 
-    epochs = config.ft_epochs if ft_epochs is None else ft_epochs
-    local = LocalTrainSpec(epochs=epochs, batch_size=config.local.batch_size)
+    local = LocalTrainSpec(epochs=config.ft_epochs, batch_size=config.local.batch_size)
     opt = OptState(config.lr, config.momentum)
     root = Rng(config.seed)
     by_id = {p.client_id: p for p in partitions}
@@ -189,22 +161,14 @@ def newcomer_protocol(
     xs = [train.features[part.train_indices] for part in parts]
     ys = [train.labels[part.train_indices] for part in parts]
     if config.algorithm == "clustered":
-        clusters = result.final_clusters
+        clusters = trainer.final_clusters
         starts = [clusters[assign_cluster(model_spec, clusters, x, y)] for x, y in zip(xs, ys)]
     else:
-        starts = [result.final_global] * len(newcomers)
+        starts = [trainer.final_global] * len(newcomers)
     # every newcomer adapts in one stacked call, each on its own substream
     adapted, _ = _local_train(
         model_spec, starts, xs, ys, local, opt,
         [root.substream("newcomer-ft", cid) for cid in newcomers],
     )
-    per_newcomer = {}
-    for cid, part, theta in zip(newcomers, parts, adapted):
-        idx = (
-            part.test_indices
-            if part.test_indices is not None
-            else allocate_local_test(test, part.owned_classes)
-        )
-        per_newcomer[cid] = evaluate(model_spec, theta, test, idx)
-    accuracy = float(np.mean([per_newcomer[c] for c in newcomers]))
-    return NewcomerResult(accuracy, newcomers, per_newcomer, result)
+    per_newcomer = local_test_accuracies(model_spec, dict(zip(newcomers, adapted)), parts, test)
+    return result, float(np.mean([per_newcomer[c] for c in newcomers]))

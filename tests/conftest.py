@@ -3,6 +3,8 @@ import pytest
 
 from fedsim.core import Rng
 from fedsim.data import Dataset, SyntheticSpec, generate_synthetic
+from fedsim.federation import run_federation, trainer_federation
+from fedsim.metrics import newcomer_holdout
 
 
 def balanced_dataset(
@@ -32,3 +34,12 @@ def labels_only_dataset(labels: list[int], n_classes: int, n_features: int = 2) 
     labels_arr = np.asarray(labels, dtype=np.int64)
     feats = np.tile(np.linspace(0.1, 0.9, n_features), (len(labels), 1))
     return Dataset(feats, labels_arr, n_classes, "train")
+
+
+def trainer_alone(config, model_spec, partitions, train, test):
+    """The newcomer protocol's trainer federation trained on its own, not
+    in lock-step with the main one: the reference for the lock-step run."""
+    newcomers = newcomer_holdout(config.seed, config.n_clients)
+    trainer_config, positions = trainer_federation(config, partitions, newcomers)
+    trainer_parts = [partitions[i] for i in positions]
+    return run_federation(trainer_config, model_spec, trainer_parts, train, test)

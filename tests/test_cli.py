@@ -6,7 +6,7 @@ import pytest
 from fedsim.cli import main
 from fedsim.core import hash64
 from fedsim.errors import ConfigError
-from fedsim.experiment import config_from_entries, load_config, parse_csv_rows, run_sweep
+from fedsim.experiment import config_from_entries, load_config, parse_csv_rows, run_single, run_sweep
 
 
 def write_idx_dir(root, n_train=60, n_test=20, side=4, n_classes=3, seed=5):
@@ -61,6 +61,15 @@ class TestPartitionCommand:
         assert json.loads(jsonl[0])["client"] == 0
         hist = (out / "class_histogram.txt").read_text().splitlines()
         assert hist[0].startswith("client,0,hist,")
+
+    def test_manifest_holds_run_zeros_partitions(self, cfg_path, tmp_path):
+        out = tmp_path / "parts"
+        assert main(["partition", str(cfg_path), "--out", str(out)]) == 0
+        written = [json.loads(line) for line in (out / "partition.jsonl").read_text().splitlines()]
+        cfg = load_config(cfg_path)
+        _, _, partitions, *_ = run_single(cfg, hash64(cfg.seed, 0))
+        assert [w["client"] for w in written] == [p.client_id for p in partitions]
+        assert [w["train_indices"] for w in written] == [p.train_indices.tolist() for p in partitions]
 
 
 class TestRunCommand:

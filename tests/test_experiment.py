@@ -513,7 +513,7 @@ EVERY_KEY = {
 
 
 class TestConfigDigestGolden:
-    """`config_digest` goes into every manifest and report: pin it."""
+    """`config_digest` goes into every manifest: pin it."""
 
     @pytest.mark.parametrize(
         "preset,digest",

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import balanced_dataset
+from conftest import balanced_dataset, trainer_alone
 from fedsim import federation
 from fedsim.core import Rng
 from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
@@ -21,7 +21,7 @@ from fedsim.federation import (
     scaffold_client_variate,
     tau_effective,
 )
-from fedsim.metrics import local_test_accuracies, newcomer_holdout, newcomer_protocol, pfl_metric
+from fedsim.metrics import local_test_accuracies, newcomer_holdout, pfl_metric
 from fedsim.model import LocalTrainSpec, ModelSpec, OptState, _local_train, init_params
 from fedsim.partition import (
     ClientPartition,
@@ -466,7 +466,7 @@ class TestLockStep:
         cfg = config(algorithm, n_clients=10, rounds=4, sample_rate=0.3, mu=0.05, ft_epochs=2)
         newcomers = newcomer_holdout(cfg.seed, cfg.n_clients)
         main_alone = run_federation(cfg, model, parts, train, test)
-        trainer_alone = newcomer_protocol(cfg, model, parts, train, test).trainer_result
+        trainer_ref = trainer_alone(cfg, model, parts, train, test)
 
         calls = []
 
@@ -477,7 +477,7 @@ class TestLockStep:
         monkeypatch.setattr(federation, "_local_train", counting)
         main, trainer = run_federation(cfg, model, parts, train, test, newcomers)
         assert main.digest() == main_alone.digest()
-        assert trainer.digest() == trainer_alone.digest()
+        assert trainer.digest() == trainer_ref.digest()
         # one call per round holding both federations' clients (3 + 2),
         # plus each federation's own fine-tune call for fedavg_ft
         assert calls[: cfg.rounds] == [5] * cfg.rounds
@@ -507,7 +507,7 @@ class TestLockStep:
         with np.errstate(all="ignore"):
             run_federation(cfg, model, parts, train, test)  # the main federation alone is finite
             with pytest.raises(NumericError) as alone:
-                newcomer_protocol(cfg, model, parts, train, test)
+                trainer_alone(cfg, model, parts, train, test)
             with pytest.raises(NumericError) as together:
                 run_federation(cfg, model, parts, train, test, newcomer_holdout(seed, 10))
         assert str(together.value) == str(alone.value)
