@@ -380,6 +380,31 @@ class TestEmitReport:
         parsed = parse_csv_rows((tmp_path / "out" / "results.csv").read_text())
         assert parsed == self._rows()
 
+    def test_csv_text_pinned(self):
+        """Exact text of a None level, an error row and an aggregate (seed None) row."""
+        common = dict(
+            preset="gfl1", algorithm="fedavg", partition_kind="iid", level=None, epochs=2,
+            sample_rate=0.1, n_clients=50,
+        )
+        rows = [
+            ResultRow(run_id="c000r0", seed=12345678901234567890, metric="gfl-accuracy", value=0.625, **common),
+            ResultRow(run_id="c000r1", seed=7, metric="error", value=1.0, **common),
+            ResultRow(
+                run_id="c001-agg", preset="", algorithm="fedavg_ft", partition_kind="label-dir",
+                level=0.3, epochs=10, sample_rate=0.25, n_clients=5, seed=None,
+                metric="pfl-accuracy-std", value=1 / 3,
+            ),
+        ]
+        lines = rows_to_csv_lines(rows, timestamp="2026-01-01T00:00:00+00:00")
+        assert lines == [
+            "# generated_at = 2026-01-01T00:00:00+00:00",
+            "run_id,preset,algorithm,partition_kind,level,epochs,sample_rate,clients,seed,metric,value",
+            "c000r0,gfl1,fedavg,iid,,2,0.1,50,12345678901234567890,gfl-accuracy,0.625",
+            "c000r1,gfl1,fedavg,iid,,2,0.1,50,7,error,1.0",
+            "c001-agg,,fedavg_ft,label-dir,0.3,10,0.25,5,,pfl-accuracy-std,0.3333333333333333",
+        ]
+        assert parse_csv_rows("\n".join(lines)) == rows
+
     def test_summary_mean_and_sample_std(self, tmp_path):
         emit_report(self._rows(), tmp_path / "out")
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
