@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from fedsim.federation import (
     tau_effective,
 )
 from fedsim.metrics import local_test_accuracies, newcomer_holdout, pfl_metric
-from fedsim.model import LocalTrainSpec, ModelSpec, OptState, _local_train, init_params
+from fedsim.model import (
+    LocalTrainSpec,
+    ModelSpec,
+    OptState,
+    _local_train,
+    forward_loss_grad,
+    init_params,
+)
 from fedsim.partition import (
     ClientPartition,
     PartitionSpec,
@@ -574,3 +582,54 @@ class TestFineTune:
             local_test_accuracies(model, global_models, parts, test), 10
         )
         assert personal_acc >= global_acc
+
+
+ASSIGN_SPECS = {
+    "logreg": ModelSpec("logreg", 8, 5, init_scale=0.5),
+    "mlp": ModelSpec("mlp", 8, 5, hidden=6, init_scale=0.5),
+}
+
+
+class TestAssignCluster:
+    """IFCA's assignment: the cluster with the lowest training loss on the client's rows."""
+
+    @staticmethod
+    def _client(trial, n=23):
+        train, _ = balanced_dataset(n_classes=5, per_class=20, n_features=8, seed=50 + trial)
+        rows = Rng(trial).sample_without_replacement(len(train.labels), n)
+        return train.features[rows], train.labels[rows]
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_argmin_of_training_losses(self, kind, k):
+        spec = ASSIGN_SPECS[kind]
+        picks = []
+        for trial in range(12):
+            clusters = [init_params(spec, Rng(1000 * trial + j)) for j in range(k)]
+            x, y = self._client(trial)
+            losses = [forward_loss_grad(spec, theta, x, y)[0] for theta in clusters]
+            picks.append(federation.assign_cluster(spec, clusters, x, y))
+            assert picks[-1] == int(np.argmin(losses))
+        assert len(set(picks)) == k  # every cluster wins some client
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_duplicate_clusters_tie_toward_lowest_id(self, kind):
+        spec = ASSIGN_SPECS[kind]
+        x, y = self._client(0)
+        a, b = init_params(spec, Rng(1)), init_params(spec, Rng(2))
+        loss_a, loss_b = (forward_loss_grad(spec, theta, x, y)[0] for theta in (a, b))
+        worse, best = (a, b) if loss_a > loss_b else (b, a)
+        assert federation.assign_cluster(spec, [worse, best, best.copy()], x, y) == 1
+        assert federation.assign_cluster(spec, [best, worse, best.copy()], x, y) == 0
+        assert federation.assign_cluster(spec, [worse, worse.copy(), worse.copy()], x, y) == 0
+
+    @pytest.mark.parametrize("kind, segment", [("logreg", "w"), ("mlp", "w1")])
+    def test_nan_weight_raises_naming_its_segment(self, kind, segment):
+        spec = ASSIGN_SPECS[kind]
+        x, y = self._client(0)
+        clusters = [init_params(spec, Rng(j)) for j in range(3)]
+        clusters[1][3] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=f"non-finite value in segment {segment}$"):
+                federation.assign_cluster(spec, clusters, x, y)
