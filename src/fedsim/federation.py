@@ -44,7 +44,7 @@ from .model import (
     ModelSpec,
     OptState,
     _local_train,
-    _stacked_loss_grad,
+    _losses,
     evaluate,
     init_params,
 )
@@ -532,11 +532,7 @@ def _fine_tune_data(
 def assign_cluster(model_spec, clusters, x, y) -> int:
     """Lowest-train-loss cluster, ties toward the lowest cluster id.
 
-    The k clusters are scored as one stack, each on all of (x, y).
+    The k clusters are scored as one stack, each on all of (x, y), by
+    the training loss from the forward pass alone.
     """
-    k = len(clusters)
-    losses, _ = _stacked_loss_grad(
-        model_spec, np.array(clusters), np.broadcast_to(x, (k, *x.shape)),
-        np.broadcast_to(y, (k, *y.shape)), None, 0.0,
-    )
-    return int(np.argmin(losses))
+    return int(np.argmin(_losses(model_spec, np.array(clusters), x, y)))

@@ -6,7 +6,10 @@ cross-entropy, optionally augmented with a proximal L2 pull toward an
 anchor vector. The local-training loop mirrors the per-round client
 procedure: reshuffle each epoch, split into batches, step with SGD
 momentum. It trains a list of clients at once as one parameter stack,
-with results bit-identical to training each client alone.
+with results bit-identical to training each client alone. The network
+is written once, in `_forward`: training, evaluation and cluster
+assignment all run it, and assignment reads the training loss without
+forming a gradient.
 """
 
 from __future__ import annotations
@@ -126,19 +129,26 @@ def _unpack(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _logits(spec: ModelSpec, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
+    """The network: the output layer's input and the logits.
+
+    `views` is the `_unpack` of one flat vector, with `x` (n, F), or of
+    a (c, P) stack, with `x` (c, r, F) or an (n, F) shared by every
+    model. The output layer's input is `x` itself for logreg and the
+    ReLU hidden layer for mlp. Each layer is built in place, one array
+    per layer: evaluation is the memory peak of most runs.
+    """
     if spec.kind == "logreg":
-        w, b = _unpack(spec, theta)
-        return x @ w + b
-    w1, b1, w2, b2 = _unpack(spec, theta)
-    # each layer is built in place, one array per layer: evaluation is
-    # the memory peak of most runs
-    hidden = x @ w1
-    hidden += b1
-    np.maximum(hidden, 0.0, out=hidden)
-    logits = hidden @ w2
-    logits += b2
-    return logits
+        w, b = views
+        a = x
+    else:
+        w1, b1, w, b = views
+        a = x @ w1
+        a += b1[..., None, :]
+        np.maximum(a, 0.0, out=a)
+    z = a @ w
+    z += b[..., None, :]
+    return a, z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -147,6 +157,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     np.exp(z, out=z)
     z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
+
+
+def _true_class_log_p(z: np.ndarray, true_class: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Softmax the logits `z` in place; return each row's true-class
+    probability and its log, the loss term, at the flat offsets
+    `true_class`. The floor on p avoids log(0) for saturated rows."""
+    p_true = _softmax(z).reshape(-1).take(true_class)
+    return p_true, np.log(np.maximum(p_true, 1e-300))
 
 
 def forward_loss_grad(
@@ -167,27 +185,39 @@ def forward_loss_grad(
         raise InvalidArgument("batch must be non-empty")
     if (anchor is not None) != (prox_mu > 0.0):
         raise InvalidArgument("anchor must be supplied iff prox_mu > 0")
-    losses, grad = _stacked_loss_grad(
-        spec, theta[None], x[None], y[None], None if anchor is None else anchor[None], prox_mu
-    )
-    return float(losses[0]), grad[0]
-
-
-def _stacked_loss_grad(spec, theta, x, y, anchor, prox_mu) -> tuple[np.ndarray, np.ndarray]:
-    """`_loss_grad_into` on a (c, P) stack of full windows into a new, checked gradient stack."""
-    c, r = y.shape
+    theta = theta[None]
     grad = np.empty_like(theta)
-    true_class = np.arange(0, c * r * spec.n_classes, spec.n_classes)
-    true_class += y.reshape(-1)
+    true_class = np.arange(0, len(y) * spec.n_classes, spec.n_classes)
+    true_class += y
     # non-finite values are detected explicitly; silence numpy's overflow
     # warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
         losses = _loss_grad_into(
-            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x, true_class, None,
-            anchor, prox_mu,
+            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x[None], true_class, None,
+            None if anchor is None else anchor[None], prox_mu,
         )
         _check_step(spec, losses, grad, theta)
-    return losses, grad
+    return float(losses[0]), grad[0]
+
+
+def _losses(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Each model's mean cross-entropy on all of (x, y), for a (c, P) stack.
+
+    The losses `_loss_grad_into` returns for these full windows, bit for
+    bit, with no gradient formed. A non-finite loss raises NumericError
+    naming the model's first bad segment.
+    """
+    c, r = len(stack), len(y)
+    true_class = np.arange(0, c * r * spec.n_classes, spec.n_classes)
+    true_class += np.tile(y, c)
+    with np.errstate(all="ignore"):
+        _, log_p = _true_class_log_p(_forward(spec, _unpack(spec, stack), x)[1], true_class)
+        losses = -np.add.reduce(log_p.reshape(c, r), axis=1) / float(r)
+    finite = np.isfinite(losses)
+    if not finite.all():
+        spec.check_finite(stack[np.argmin(finite)])
+        raise NumericError("non-finite loss")
+    return losses
 
 
 def _loss_grad_into(
@@ -226,24 +256,12 @@ def _loss_grad_into(
     warnings and run `_check_step`.
     """
     c, r = x.shape[:2]
-    # `a` is the input of the output layer (w, b): x itself for logreg
-    if spec.kind == "logreg":
-        w, b = views
-        a = x
-    else:
-        w1, b1, w, b = views
-        pre = x @ w1
-        pre += b1[:, None]
-        # the ReLU runs in place, so `pre` is read for its mask first
-        live = pre > 0.0
-        a = np.maximum(pre, 0.0, out=pre)
-    z = a @ w
-    z += b[:, None]
-    dz = _softmax(z)
-    dz_flat = dz.reshape(-1)
-    p_true = dz_flat.take(true_class)
-    dz_flat[true_class] = p_true - 1.0
-    log_p = np.log(np.maximum(p_true.reshape(c, r), 1e-300))
+    # `dz` holds the logits, then in place their softmax, then the
+    # output layer's error
+    a, dz = _forward(spec, views, x)
+    p_true, log_p = _true_class_log_p(dz, true_class)
+    dz.reshape(-1)[true_class] = p_true - 1.0
+    log_p = log_p.reshape(c, r)
     if counts is None:
         counts = float(r)
         dz /= counts
@@ -256,13 +274,14 @@ def _loss_grad_into(
     np.matmul(a.transpose(0, 2, 1), dz, out=gw)
     np.add.reduce(dz, axis=1, out=gb)
     if spec.kind == "mlp":
-        dh = dz @ w.transpose(0, 2, 1)
-        dh *= live
+        dh = dz @ views[-2].transpose(0, 2, 1)
+        # the ReLU ran in place, so its mask is read off its output:
+        # a > 0 exactly where its input was, NaN included
+        dh *= a > 0.0
         gw1, gb1 = grad_views[:2]
         np.matmul(x.transpose(0, 2, 1), dh, out=gw1)
         np.add.reduce(dh, axis=1, out=gb1)
-    # the floor on p avoids log(0) for saturated probabilities; the sign
-    # flip after each client's sum is exact, so this is the mean of -log p
+    # the sign flip after each client's sum is exact, so this is the mean of -log p
     losses = -np.add.reduce(log_p, axis=1) / counts
     if prox_mu > 0.0:
         diff = theta - anchor
@@ -430,6 +449,6 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> f
     idx = np.asarray(index_set, dtype=np.int64)
     if idx.size == 0:
         raise InvalidArgument("index set must be non-empty")
-    logits = _logits(spec, params, data.features[idx])
+    _, logits = _forward(spec, _unpack(spec, params), data.features[idx])
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == data.labels[idx]))

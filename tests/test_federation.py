@@ -633,3 +633,16 @@ class TestAssignCluster:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"non-finite value in segment {segment}$"):
                 federation.assign_cluster(spec, clusters, x, y)
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_forms_no_gradient(self, kind, monkeypatch):
+        spec = ASSIGN_SPECS[kind]
+        x, y = self._client(1)
+        clusters = [init_params(spec, Rng(j)) for j in range(3)]
+        expected = int(np.argmin([forward_loss_grad(spec, theta, x, y)[0] for theta in clusters]))
+
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("cluster assignment ran the gradient kernel")
+
+        monkeypatch.setattr("fedsim.model._loss_grad_into", no_gradient)
+        assert federation.assign_cluster(spec, clusters, x, y) == expected

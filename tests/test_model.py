@@ -244,11 +244,11 @@ class TestForwardLossGrad:
             assert rel <= 1e-5, f"trial {trial}: rel err {rel}"
 
     def test_softmax_probabilities_normalized(self):
-        from fedsim.model import _logits, _softmax
+        from fedsim.model import _forward, _softmax
 
         x, _ = random_batch(Rng(9), 32, MLP)
         params = init_params(MLP, Rng(10))
-        probs = _softmax(_logits(MLP, params, x))
+        probs = _softmax(_forward(MLP, _unpack(MLP, params), x)[1])
         assert np.all(np.abs(probs.sum(axis=1) - 1.0) <= 1e-9)
 
     def test_numeric_error_names_segment(self):
