@@ -453,19 +453,14 @@ class ResultRow:
             raise InvalidArgument(f"non-finite value for metric {self.metric!r}")
 
 
-CSV_COLUMNS = (
-    "run_id",
-    "preset",
-    "algorithm",
-    "partition_kind",
-    "level",
-    "epochs",
-    "sample_rate",
-    "clients",
-    "seed",
-    "metric",
-    "value",
+# results.csv has one column per ResultRow field, in field order, each
+# written and read by its declared type; n_clients is headed "clients"
+_CSV_FIELDS = tuple(
+    (f.name, f.type.removesuffix(" | None"), f.type.endswith(" | None"))
+    for f in dataclasses.fields(ResultRow)
 )
+CSV_COLUMNS = tuple("clients" if name == "n_clients" else name for name, _, _ in _CSV_FIELDS)
+_CSV_TYPES = {"str": str, "int": int, "float": float}
 
 
 def run_inputs(cfg: ExperimentConfig, seed: int, cache: dict | None = None):
@@ -704,10 +699,10 @@ def incentive_boundary(
     return BoundaryReport(tuple(verdicts), boundary)
 
 
-def _format_cell(value) -> str:
+def _format_cell(value, kind: str) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
+    if kind == "float":
         return repr(float(value))  # plain-float repr round-trips exactly
     return str(value)
 
@@ -716,23 +711,7 @@ def rows_to_csv_lines(rows: list[ResultRow], timestamp: str | None = None) -> li
     stamp = timestamp or datetime.now(timezone.utc).isoformat()
     lines = [f"# generated_at = {stamp}", ",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    r.run_id,
-                    r.preset,
-                    r.algorithm,
-                    r.partition_kind,
-                    _format_cell(r.level),
-                    str(r.epochs),
-                    repr(float(r.sample_rate)),
-                    str(r.n_clients),
-                    _format_cell(r.seed),
-                    r.metric,
-                    repr(float(r.value)),
-                ]
-            )
-        )
+        lines.append(",".join(_format_cell(getattr(r, name), kind) for name, kind, _ in _CSV_FIELDS))
     return lines
 
 
@@ -744,21 +723,11 @@ def parse_csv_rows(text: str) -> list[ResultRow]:
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ConfigError(f"bad CSV row: {line!r}")
-        rows.append(
-            ResultRow(
-                run_id=parts[0],
-                preset=parts[1],
-                algorithm=parts[2],
-                partition_kind=parts[3],
-                level=float(parts[4]) if parts[4] else None,
-                epochs=int(parts[5]),
-                sample_rate=float(parts[6]),
-                n_clients=int(parts[7]),
-                seed=int(parts[8]) if parts[8] else None,
-                metric=parts[9],
-                value=float(parts[10]),
-            )
-        )
+        values = {
+            name: None if nullable and not cell else _CSV_TYPES[kind](cell)
+            for (name, kind, nullable), cell in zip(_CSV_FIELDS, parts)
+        }
+        rows.append(ResultRow(**values))
     return rows
 
 
