@@ -16,12 +16,14 @@ from .core import hash64
 from .errors import ConfigError, FedsimError
 from .experiment import (
     ExperimentConfig,
+    apply_cell,
     emit_report,
     incentive_boundary,
     load_config,
     parse_csv_rows,
     run_inputs,
     run_sweep,
+    sweep_cells,
 )
 from .partition import manifest_jsonl, manifest_lines
 
@@ -61,8 +63,18 @@ def _out_dir(cfg: ExperimentConfig, default: str) -> Path:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, _overrides(args))
-    # run 0's seed: these are the partitions that run 0 trains on
-    train, _, parts = run_inputs(cfg, hash64(cfg.seed, 0))
+    # one manifest serves a sweep only if every cell partitions alike
+    moving = [
+        f"sweep.{axis}" for axis, values in cfg.sweep_axes
+        if len({apply_cell(cfg, {axis: v}).partition_spec() for v in values}) > 1
+    ]
+    if moving:
+        raise ConfigError(
+            f"the sweep's cells partition differently across {', '.join(moving)}; "
+            "partition writes one manifest, so give each one value"
+        )
+    # run 0's seed: these are the partitions that run 0 of every cell trains on
+    train, _, parts = run_inputs(apply_cell(cfg, sweep_cells(cfg)[0]), hash64(cfg.seed, 0))
     out = _out_dir(cfg, "partition-out")
     out.mkdir(parents=True, exist_ok=True)
     (out / "partition.txt").write_text("\n".join(manifest_lines(parts)) + "\n")

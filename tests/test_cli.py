@@ -6,7 +6,16 @@ import pytest
 from fedsim.cli import main
 from fedsim.core import hash64
 from fedsim.errors import ConfigError
-from fedsim.experiment import config_from_entries, load_config, parse_csv_rows, run_single, run_sweep
+from fedsim.experiment import (
+    apply_cell,
+    config_from_entries,
+    load_config,
+    parse_csv_rows,
+    run_inputs,
+    run_single,
+    run_sweep,
+    sweep_cells,
+)
 
 
 def write_idx_dir(root, n_train=60, n_test=20, side=4, n_classes=3, seed=5):
@@ -70,6 +79,39 @@ class TestPartitionCommand:
         _, _, partitions, *_ = run_single(cfg, hash64(cfg.seed, 0))
         assert [w["client"] for w in written] == [p.client_id for p in partitions]
         assert [w["train_indices"] for w in written] == [p.train_indices.tolist() for p in partitions]
+
+    def test_sweep_sharing_one_partition_spec_writes_run_zeros(self, tmp_path):
+        path = tmp_path / "sweep.cfg"
+        # a one-value axis still moves every cell off the base config's alpha
+        path.write_text(TINY + "sweep.alpha = 1.0\nsweep.algorithm = fedavg,fedprox\nsweep.E = 1,2\n")
+        out = tmp_path / "parts"
+        assert main(["partition", str(path), "--out", str(out)]) == 0
+        written = [json.loads(line) for line in (out / "partition.jsonl").read_text().splitlines()]
+        cfg = load_config(path)
+        for cell in sweep_cells(cfg):
+            _, _, partitions = run_inputs(apply_cell(cfg, cell), hash64(cfg.seed, 0))
+            assert [w["train_indices"] for w in written] == [p.train_indices.tolist() for p in partitions]
+
+    @pytest.mark.parametrize(
+        "lines, named",
+        [
+            ("sweep.alpha = 0.1,1.0\n", "sweep.alpha"),
+            ("sweep.N = 5,6\nsweep.E = 1,2\n", "sweep.N"),
+            ("sweep.alpha = 0.1,1.0\nsweep.N = 5,6\n", "sweep.alpha, sweep.N"),
+            ("partition.kind = label-skew\npartition.p = 2\nsweep.p = 1,2\n", "sweep.p"),
+        ],
+    )
+    def test_sweep_over_partition_axes_is_config_error(self, lines, named, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(TINY + lines)
+        out = tmp_path / "parts"
+        assert main(["partition", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"config error: the sweep's cells partition differently across {named}; "
+            "partition writes one manifest, so give each one value\n"
+        )
+        assert not out.exists()
 
 
 class TestRunCommand:
