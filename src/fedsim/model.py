@@ -129,7 +129,9 @@ def _unpack(spec: ModelSpec, theta: np.ndarray) -> list[np.ndarray]:
     ]
 
 
-def _forward(spec: ModelSpec, views: list[np.ndarray], x: np.ndarray):
+def _forward(
+    spec: ModelSpec, views: list[np.ndarray], x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The network: the output layer's input and the logits.
 
     `views` is the `_unpack` of one flat vector, with `x` (n, F), or of

@@ -623,12 +623,16 @@ class TestAssignCluster:
         assert federation.assign_cluster(spec, [best, worse, best.copy()], x, y) == 0
         assert federation.assign_cluster(spec, [worse, worse.copy(), worse.copy()], x, y) == 0
 
-    @pytest.mark.parametrize("kind, segment", [("logreg", "w"), ("mlp", "w1")])
+    @pytest.mark.parametrize(
+        "kind, segment",
+        [(kind, plan[0]) for kind, spec in ASSIGN_SPECS.items() for plan in spec._view_plan],
+    )
     def test_nan_weight_raises_naming_its_segment(self, kind, segment):
         spec = ASSIGN_SPECS[kind]
         x, y = self._client(0)
         clusters = [init_params(spec, Rng(j)) for j in range(3)]
-        clusters[1][3] = np.nan
+        start = next(start for name, start, _, _ in spec._view_plan if name == segment)
+        clusters[1][start] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=f"non-finite value in segment {segment}$"):
