@@ -624,14 +624,13 @@ class TestAssignCluster:
         assert federation.assign_cluster(spec, [worse, worse.copy(), worse.copy()], x, y) == 0
 
     @pytest.mark.parametrize(
-        "kind, segment",
-        [(kind, plan[0]) for kind, spec in ASSIGN_SPECS.items() for plan in spec._view_plan],
+        "kind, segment, start",
+        [(kind, *plan[:2]) for kind, spec in ASSIGN_SPECS.items() for plan in spec._view_plan],
     )
-    def test_nan_weight_raises_naming_its_segment(self, kind, segment):
+    def test_nan_weight_raises_naming_its_segment(self, kind, segment, start):
         spec = ASSIGN_SPECS[kind]
         x, y = self._client(0)
         clusters = [init_params(spec, Rng(j)) for j in range(3)]
-        start = next(start for name, start, _, _ in spec._view_plan if name == segment)
         clusters[1][start] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
