@@ -295,9 +295,10 @@ def _loss_grad_into(
 
 def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np.ndarray) -> None:
     """Raise NumericError for the first client of a stack with a non-finite
-    loss or gradient, naming its first bad gradient segment, else its
-    first bad parameter segment. Callers silence numpy's floating-point
-    warnings."""
+    loss or gradient, naming its first bad parameter segment, else its
+    first bad gradient segment. A non-finite parameter spreads into every
+    gradient segment through the backward pass, so the parameters are
+    checked first. Callers silence numpy's floating-point warnings."""
     # a finite sum proves every entry finite; a sum of finite entries that
     # overflows goes on to the exact test below, which passes it
     if math.isfinite(np.add.reduce(grad, axis=None) + np.add.reduce(losses)):
@@ -305,8 +306,8 @@ def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np
     if np.isfinite(grad).all() and np.isfinite(losses).all():
         return
     i = int(np.argmin(np.isfinite(grad).all(axis=1) & np.isfinite(losses)))
-    spec.check_finite(grad[i])
     spec.check_finite(theta[i])
+    spec.check_finite(grad[i])
     raise NumericError("non-finite loss")
 
 

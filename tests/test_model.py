@@ -258,6 +258,20 @@ class TestForwardLossGrad:
         with pytest.raises(NumericError, match="segment"):
             forward_loss_grad(LOGREG, huge, x, y)
 
+    @pytest.mark.parametrize(
+        "spec, segment, start",
+        [(spec, name, start) for spec in (LOGREG, MLP) for name, start, _, _ in spec._view_plan],
+        ids=lambda v: v.kind if isinstance(v, ModelSpec) else str(v),
+    )
+    def test_nan_parameter_names_its_segment(self, spec, segment, start):
+        # a NaN anywhere spreads into every gradient segment, so the
+        # name has to come from the parameters
+        x, y = random_batch(Rng(14), 6, spec)
+        theta = init_params(spec, Rng(15))
+        theta[start] = np.nan
+        with pytest.raises(NumericError, match=f"non-finite value in segment {segment}$"):
+            forward_loss_grad(spec, theta, x, y)
+
     def test_overflow_raises_no_runtime_warning(self):
         x, y = random_batch(Rng(11), 4, LOGREG)
         # two biases at 1e308 against a zero anchor: a finite gradient
