@@ -449,7 +449,7 @@ def _round_loop(config, model_spec, data, test) -> RoundLoop:
     heads = dict.fromkeys(range(n), pool[0][boundary:].copy()) if algo == "decoupled" else None
     scaffold = ScaffoldState.initial(len(pool[0]), range(n)) if algo == "scaffold" else None
     train_spec = replace(config.local, prox_mu=config.mu if algo == "fedprox" else 0.0)
-    test_idx = np.arange(test.n_samples)
+    test_idx = range(test.n_samples)
     logs: list[RoundLog] = []
 
     for t in range(config.rounds):

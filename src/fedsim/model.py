@@ -447,11 +447,18 @@ def _local_train(
 def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> float:
     """Fraction of indexed samples whose argmax score equals the label.
 
-    Argmax ties break toward the lowest class id.
+    Argmax ties break toward the lowest class id. A `range` of
+    consecutive rows inside the set is read as views, with no copy.
     """
-    idx = np.asarray(index_set, dtype=np.int64)
-    if idx.size == 0:
+    if isinstance(index_set, range) and index_set.step == 1 and (
+        0 <= index_set.start <= index_set.stop <= data.n_samples
+    ):
+        rows, n_rows = slice(index_set.start, index_set.stop), len(index_set)
+    else:
+        rows = np.asarray(index_set, dtype=np.int64)
+        n_rows = rows.size
+    if n_rows == 0:
         raise InvalidArgument("index set must be non-empty")
-    _, logits = _forward(spec, _unpack(spec, params), data.features[idx])
+    _, logits = _forward(spec, _unpack(spec, params), data.features[rows])
     pred = np.argmax(logits, axis=1)
-    return float(np.mean(pred == data.labels[idx]))
+    return float(np.mean(pred == data.labels[rows]))

@@ -589,3 +589,18 @@ class TestEvaluate:
         spec = ModelSpec("logreg", 6, 3)
         with pytest.raises(InvalidArgument):
             evaluate(spec, init_params(spec, Rng(31)), train, np.array([], dtype=int))
+        with pytest.raises(InvalidArgument):
+            evaluate(spec, init_params(spec, Rng(31)), train, range(4, 4))
+
+    @pytest.mark.parametrize("spec", [LOGREG_10, MLP_10], ids=lambda s: s.kind)
+    def test_range_equals_index_array(self, spec):
+        # a range is read as views of the set, an index array as a copy
+        _, test = balanced_dataset(n_classes=10, per_class=5, n_features=24, seed=32)
+        n = test.n_samples
+        for seed in range(5):
+            params = init_params(spec, Rng(seed)) * 20.0
+            for lo, hi in ((0, n), (0, 1), (17, 233), (n - 1, n)):
+                got = evaluate(spec, params, test, range(lo, hi))
+                assert got == evaluate(spec, params, test, np.arange(lo, hi))
+        stepped = range(3, n, 7)
+        assert evaluate(spec, params, test, stepped) == evaluate(spec, params, test, list(stepped))
