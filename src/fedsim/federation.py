@@ -111,7 +111,7 @@ class RoundLog:
     round: int
     selected: tuple[int, ...]
     m: int
-    global_accuracy: float
+    global_accuracy: float | None  # None in a round whose pool was not evaluated
     client_stats: tuple[ClientRoundStat, ...]
 
 
@@ -126,7 +126,9 @@ class RunResult:
         """Stable content hash for determinism checks across processes."""
         h = hashlib.sha256()
         for log in self.round_logs:
-            h.update(struct.pack("<qqd", log.round, log.m, log.global_accuracy))
+            h.update(struct.pack("<qq", log.round, log.m))
+            if log.global_accuracy is not None:
+                h.update(struct.pack("<d", log.global_accuracy))
             h.update(np.asarray(log.selected, dtype=np.int64).tobytes())
             for s in log.client_stats:
                 h.update(struct.pack("<qqqd", s.client_id, s.n_train, s.steps, s.mean_loss))
@@ -319,7 +321,12 @@ def run_federation(
     if newcomers is not None:
         trainer_config, positions = trainer_federation(config, partitions, newcomers)
         federations.append((trainer_config, data.subset(positions)))
-    loops = [_round_loop(cfg, model_spec, cfg_data, test) for cfg, cfg_data in federations]
+    # the trainer's accuracies feed no metric, so it evaluates no round
+    evaluated = (config.rounds, 0)
+    loops = [
+        _round_loop(cfg, model_spec, cfg_data, test, k)
+        for (cfg, cfg_data), k in zip(federations, evaluated)
+    ]
     results = _drive(model_spec, OptState(config.lr, config.momentum), loops)
     return results[0] if newcomers is None else tuple(results)
 
@@ -434,8 +441,12 @@ def _fuse(config, theta, members, sizes, scaffold) -> np.ndarray:
     return fuse_fedavg([(local_p, sizes[k]) for k, local_p, _ in members])
 
 
-def _round_loop(config, model_spec, data, test) -> RoundLoop:
-    """The round protocol of every algorithm over its pool of models."""
+def _round_loop(config, model_spec, data, test, evaluated: int) -> RoundLoop:
+    """The round protocol of every algorithm over its pool of models.
+
+    The pool is evaluated on `test` only in the last `evaluated` rounds;
+    every other round logs its accuracy as None.
+    """
     algo, n = config.algorithm, config.n_clients
     root = Rng(config.seed)
     pool = [
@@ -483,8 +494,10 @@ def _round_loop(config, model_spec, data, test) -> RoundLoop:
             for k, local_p in zip(selected, trained):
                 heads[k] = local_p[boundary:].copy()
 
-        accs = [evaluate(model_spec, theta, test, test_idx) for theta in pool]
-        acc = float(np.mean(accs)) if algo == "solo" else max(accs)
+        acc = None
+        if t >= config.rounds - evaluated:
+            accs = [evaluate(model_spec, theta, test, test_idx) for theta in pool]
+            acc = float(np.mean(accs)) if algo == "solo" else max(accs)
         client_stats = tuple(
             ClientRoundStat(k, data.sizes[k], steps, loss)
             for k, steps, loss in zip(selected, stats.client_steps, stats.mean_losses)
@@ -501,7 +514,11 @@ def _round_loop(config, model_spec, data, test) -> RoundLoop:
         personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
     elif algo in ("clustered", "solo"):
         personal = {k: pool[_slot(config, model_spec, pool, data, k)] for k in range(n)}
-    final_global = None if algo == "solo" else pool[int(np.argmax(accs))]
+    if algo == "solo" or (not evaluated and len(pool) > 1):
+        final_global = None  # no shared model, or no accuracy to pick one by
+    else:
+        # the last round's best model; a loop that evaluated none has one
+        final_global = pool[int(np.argmax(accs)) if evaluated else 0]
     return RunResult(logs, final_global, personal, pool if algo == "clustered" else None)
 
 

@@ -3,8 +3,9 @@ import pytest
 
 from fedsim.core import Rng
 from fedsim.data import Dataset, SyntheticSpec, generate_synthetic
-from fedsim.federation import run_federation, trainer_federation
+from fedsim.federation import _ClientData, _drive, _round_loop, trainer_federation
 from fedsim.metrics import newcomer_holdout
+from fedsim.model import OptState
 
 
 def balanced_dataset(
@@ -38,8 +39,11 @@ def labels_only_dataset(labels: list[int], n_classes: int, n_features: int = 2) 
 
 def trainer_alone(config, model_spec, partitions, train, test):
     """The newcomer protocol's trainer federation trained on its own, not
-    in lock-step with the main one: the reference for the lock-step run."""
+    in lock-step with the main one: the reference for the lock-step run.
+    Its round loop is driven alone and, as in the lock-step run,
+    evaluates no round."""
     newcomers = newcomer_holdout(config.seed, config.n_clients)
     trainer_config, positions = trainer_federation(config, partitions, newcomers)
-    trainer_parts = [partitions[i] for i in positions]
-    return run_federation(trainer_config, model_spec, trainer_parts, train, test)
+    data = _ClientData(train, [partitions[i] for i in positions])
+    loop = _round_loop(trainer_config, model_spec, data, test, 0)
+    return _drive(model_spec, OptState(config.lr, config.momentum), [loop])[0]

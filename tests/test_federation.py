@@ -28,6 +28,7 @@ from fedsim.model import (
     ModelSpec,
     OptState,
     _local_train,
+    evaluate,
     forward_loss_grad,
     init_params,
 )
@@ -530,6 +531,51 @@ class TestLockStep:
         monkeypatch.setattr(federation, "_local_train", no_training)
         with pytest.raises(InvalidArgument, match="solo training produces no model"):
             run_federation(cfg, model, parts, train, test, newcomer_holdout(cfg.seed, 10))
+
+
+def evaluation_schedule(monkeypatch, test):
+    """The number of `federation.evaluate` calls after each `_local_train`
+    call, in call order: one entry per round, then one per fine-tune."""
+    counts = []
+
+    def training(*args, **kwargs):
+        counts.append(0)
+        return _local_train(*args, **kwargs)
+
+    def counting(*args, **kwargs):
+        # perfbench reads the row count as len() of the 4th positional argument
+        assert len(args[3]) == test.n_samples and not kwargs
+        counts[-1] += 1
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(federation, "_local_train", training)
+    monkeypatch.setattr(federation, "evaluate", counting)
+    return counts
+
+
+class TestEvaluationSchedule:
+    """The pool is evaluated only in the rounds a reported number reads."""
+
+    @pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
+    def test_trainer_evaluates_no_round(self, algorithm, monkeypatch):
+        train, test, parts, model = small_setup(n_clients=10)
+        cfg = config(algorithm, n_clients=10, rounds=4, sample_rate=0.3, ft_epochs=1)
+        counts = evaluation_schedule(monkeypatch, test)
+        main_alone = run_federation(cfg, model, parts, train, test)
+        alone = list(counts)
+        counts.clear()
+        main, trainer = run_federation(
+            cfg, model, parts, train, test, newcomer_holdout(cfg.seed, cfg.n_clients)
+        )
+        # the same evaluations, though the trainer's clients share every round's call
+        assert counts[: cfg.rounds] == alone[: cfg.rounds]
+        assert sum(counts) == sum(alone)
+        assert main.round_logs == main_alone.round_logs
+        assert [log.global_accuracy for log in trainer.round_logs] == [None] * cfg.rounds
+        if algorithm == "clustered":
+            assert trainer.final_global is None and len(trainer.final_clusters) == 2
+        else:
+            assert trainer.final_global is not None
 
 
 class TestFineTune:
