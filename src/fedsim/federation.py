@@ -321,8 +321,9 @@ def run_federation(
     if newcomers is not None:
         trainer_config, positions = trainer_federation(config, partitions, newcomers)
         federations.append((trainer_config, data.subset(positions)))
-    # the trainer's accuracies feed no metric, so it evaluates no round
-    evaluated = (config.rounds, 0)
+    # the main federation evaluates the window gfl_metric averages; the
+    # trainer's accuracies feed no metric, so it evaluates no round
+    evaluated = (participant_count(config.n_clients, config.sample_rate), 0)
     loops = [
         _round_loop(cfg, model_spec, cfg_data, test, k)
         for (cfg, cfg_data), k in zip(federations, evaluated)

@@ -556,6 +556,29 @@ def evaluation_schedule(monkeypatch, test):
 class TestEvaluationSchedule:
     """The pool is evaluated only in the rounds a reported number reads."""
 
+    @pytest.mark.parametrize("algorithm, pool", [("fedavg", 1), ("clustered", 3), ("solo", 10)])
+    def test_main_evaluates_its_gfl_window(self, algorithm, pool, monkeypatch):
+        train, test, parts, model = small_setup(n_clients=10)
+        cfg = config(algorithm, n_clients=10, rounds=7, sample_rate=0.3, n_clusters=3)
+        window = participant_count(cfg.n_clients, cfg.sample_rate)
+        assert window == 3
+        counts = evaluation_schedule(monkeypatch, test)
+        result = run_federation(cfg, model, parts, train, test)
+        assert counts == [0] * 4 + [pool] * 3
+        accs = [log.global_accuracy for log in result.round_logs]
+        assert [acc is None for acc in accs] == [True] * 4 + [False] * 3
+        assert all(0.0 <= acc <= 1.0 for acc in accs[-window:])
+
+    def test_window_covering_every_round_evaluates_each(self, monkeypatch):
+        # test_round_log_shape's run: a window of 4 rounds over 3
+        train, test, parts, model = small_setup()
+        cfg = config("fedavg", rounds=3)
+        assert participant_count(cfg.n_clients, cfg.sample_rate) >= cfg.rounds
+        counts = evaluation_schedule(monkeypatch, test)
+        result = run_federation(cfg, model, parts, train, test)
+        assert counts == [1] * 3
+        assert all(log.global_accuracy is not None for log in result.round_logs)
+
     @pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
     def test_trainer_evaluates_no_round(self, algorithm, monkeypatch):
         train, test, parts, model = small_setup(n_clients=10)
