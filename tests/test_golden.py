@@ -33,43 +33,43 @@ from fedsim.experiment import config_from_entries, run_single
 #   (digest, gfl, pfl, fairness, newcomer, per-client accuracy hash, window)
 GOLDEN = {
     ("gfl2", "fedavg", 7): (
-        "6ceda04a60a9e0b8dddd4926b570bd629e60538a2a35726623122ab2d25754ba",
+        "5a0270285ff3d1624e55e5126c57850d27e2cd418e61567829ac5d19c5db2ec7",
         0.1059375, None, None, 0.08569318753142283, None, 4,
     ),
     ("gfl2", "fedprox", 7): (
-        "5ee59df15bc35b908d87fc8c0bc7876b33f3a558aac07be953fe8600752ed335",
+        "35df08b472d9a06a7b7319c10050fa69128cb50cb6cdae87f72789f02628df5e",
         0.1059375, None, None, 0.08569318753142283, None, 4,
     ),
     ("gfl2", "fednova", 7): (
-        "e4cac320615f050531c16786b8193e4ac0395c022d36d6c55d2d93373d2f4a96",
+        "362ba31517304d086d0d5811dc2db6331f422e0e0be6863697bb2e5c8d52963b",
         0.08625, None, None, 0.0853255404725993, None, 4,
     ),
     ("gfl2", "scaffold", 7): (
-        "0a4c3a28f5dd2517e498daf7d6822bdc5256b59d2ee450d0c225e46aecce8883",
+        "5a78d353a64e1f87dfd02ef7a2de22f4662378f93bbb639c8249c6215c5317ea",
         0.09343749999999999, None, None, 0.07503142282554048, None, 4,
     ),
     ("gfl2", "fedavg_ft", 7): (
-        "cda269796402a4da5377a3eb3c777ee3f8fbb22785061a999bf09155bb3d250f",
+        "87431a50a45d6a2752718ff5f8fe58a8492055a13ba40e5c15be9e3f34caecfc",
         0.1059375, 0.08158448062085832, 2.630895417126987, 0.08569318753142283,
         "8be5cf67e6e4bc70", 4,
     ),
     ("gfl2", "decoupled", 7): (
-        "940777130b3f63cce20a9f12fea49dbf1c932d2e00be30fa3814af3b8d3688f7",
+        "185deab4a075e95c15ba052f4aab729d697d5d0689e1067fcdf652934dd930ca",
         0.060937500000000006, 0.07758098819824825, 2.185342972185103, 0.07944318753142282,
         "40f604251b9b7bef", 4,
     ),
     ("gfl2", "clustered", 7): (
-        "76ec47fbad3cf1865dbeb4496bbf9f4b37cb382650b1c483458a3b5e54e1b83b",
+        "9c57ca5cc6959ae704fa5aea0df2a1f8dcf8757c275f86dbb115b40f500fb3b2",
         0.081875, 0.07411021898637997, 3.1960849830689897, 0.0755121920563097,
         "0d84b71db4c6e017", 4,
     ),
     ("gfl2", "solo", 7): (
-        "b5c1ec9c0f0914c4e058c9dc23a06de05bc64fc6cae51379c0f05e4bcc286289",
+        "015d0c14f2de8d41c48067e6d126299240ce5c6a869667272bd1d810e0a26801",
         0.06528125000000001, 0.09535552340031829, 3.465237683872081, None,
         "4eb12aacc7555426", 4,
     ),
     ("pfl2", "fedavg_ft", 7): (
-        "6e4548673e3ef5debec6dc3c17f950ff0012f77515fd14c04c31e91d0f8b65ca",
+        "5be4d4e09e006b96be2dc7141b07ac3e821c1030a77a5afacebf677e6a766174",
         0.201875, 0.5282931547619047, 7.308382399527637, None,
         "24dc4924d3b196bf", 4,
     ),
@@ -135,7 +135,7 @@ SETTING_CASES = (
     ("fedprox", {"algo.mu": "0.05"}),
     ("solo", {"federation.sample_rate": "0.1"}),
 )
-SETTINGS_GOLDEN = "efc62f889f0fd552bd07d38ddac7d0dc09bb18506d400fc7edf04deacfeba243"
+SETTINGS_GOLDEN = "49ae34cf687f43d3208f319f975cb8a6a257ed731d35f2af2dbae61d80de1a33"
 
 
 def test_golden_settings():
