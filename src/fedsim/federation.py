@@ -9,11 +9,15 @@ All of them run one round loop, `_round_loop`, over a pool of models:
 one shared model, `n_clusters` for clustered, one per client for solo.
 Each round it samples clients (solo takes all), maps each to its pool
 slot, trains them from there, fuses each slot's members and evaluates
-the pool. An algorithm changes only some steps: fedprox the train spec,
-scaffold the gradient offsets and the fusion, fednova the fusion,
-decoupled the start (it splices in the client's head), clustered and
-solo the slot, solo the fusion (none) and the accuracy (the pool's
-mean, not its best), and the personalized ones the models they keep.
+the pool, but only in the rounds a reported number reads: the main
+federation in the last max(floor(C*N), 1) rounds, the window
+`gfl_metric` averages, and the newcomer protocol's trainer federation
+in none. Other rounds log no accuracy. An algorithm changes only some
+steps: fedprox the train spec, scaffold the gradient offsets and the
+fusion, fednova the fusion, decoupled the start (it splices in the
+client's head), clustered and solo the slot, solo the fusion (none)
+and the accuracy (the pool's mean, not its best), and the personalized
+ones the models they keep.
 
 The selected clients train together in one stacked `_local_train`
 call, each on its own random substream; a client's result does not
