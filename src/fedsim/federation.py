@@ -321,17 +321,13 @@ def run_federation(
             f"config declares {config.n_clients} clients, got {len(partitions)} partitions"
         )
     data = _ClientData(train, partitions)
-    federations = [(config, data)]
-    if newcomers is not None:
-        trainer_config, positions = trainer_federation(config, partitions, newcomers)
-        federations.append((trainer_config, data.subset(positions)))
     # the main federation evaluates the window gfl_metric averages; the
     # trainer's accuracies feed no metric, so it evaluates no round
-    evaluated = (participant_count(config.n_clients, config.sample_rate), 0)
-    loops = [
-        _round_loop(cfg, model_spec, cfg_data, test, k)
-        for (cfg, cfg_data), k in zip(federations, evaluated)
-    ]
+    federations = [(config, data, participant_count(config.n_clients, config.sample_rate))]
+    if newcomers is not None:
+        trainer_config, positions = trainer_federation(config, partitions, newcomers)
+        federations.append((trainer_config, data.subset(positions), 0))
+    loops = [_round_loop(cfg, model_spec, cfg_data, test, k) for cfg, cfg_data, k in federations]
     results = _drive(model_spec, OptState(config.lr, config.momentum), loops)
     return results[0] if newcomers is None else tuple(results)
 
