@@ -91,8 +91,10 @@ class Rng:
             return out
         parts = [self._buf[self._pos :]]
         need = n - avail
-        # whole blocks, so the generator holds no word back for a next call
-        words = -(-max(need, self._BLOCK) // 4) * 4
+        # whole blocks, so the generator holds no word back for a next call;
+        # a fresh stream's first refill holds just the request, because
+        # most substreams are short: one client's shuffles for one call
+        words = -(-max(need, self._BLOCK if self._blocks else 0) // 4) * 4
         # Philox steps its counter before each block, so setting it to
         # the blocks drawn so far resumes the stream where it stopped
         gen = _philox()
@@ -191,6 +193,18 @@ class Rng:
                         mask >>= 1
             self._pos -= len(words) - used
         return np.array(arr, dtype=np.int64)
+
+    def permutations(self, n: int, count: int) -> list[np.ndarray]:
+        """`count` successive `permutation(n)` draws.
+
+        A fresh stream first buffers, in one refill, the words that
+        `permutation` asks for at first, `count` times over: usually
+        every word the draws read. They read the same words either way.
+        """
+        if not self._blocks:
+            self._raw(count * (n + n // 2 + 8))
+            self._pos = 0  # hand every word back, unread
+        return [self.permutation(n) for _ in range(count)]
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct values from range(n), sorted ascending."""

@@ -14,6 +14,7 @@ forming a gradient.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -73,14 +74,15 @@ class ModelSpec:
             return self.n_params()
         return self._view_plan[-self.layer_split][1]
 
-    def check_finite(self, theta: np.ndarray) -> None:
-        """Raise NumericError naming the first segment of `theta` with a NaN or Inf."""
+    def check_finite(self, theta: np.ndarray, client: int | None = None) -> None:
+        """Raise NumericError naming the first segment of `theta` with a NaN
+        or Inf; the error carries `client`."""
         if not np.isfinite(theta).all():
             name = next(
                 name for name, start, stop, _ in self._view_plan
                 if not np.isfinite(theta[start:stop]).all()
             )
-            raise NumericError(f"non-finite value in segment {name}")
+            raise NumericError(f"non-finite value in segment {name}", client)
 
 
 @dataclass(frozen=True)
@@ -195,9 +197,10 @@ def forward_loss_grad(
     # warnings so the NumericError is the single signal
     with np.errstate(all="ignore"):
         losses = _loss_grad_into(
-            spec, theta, _unpack(spec, theta), grad, _unpack(spec, grad), x[None], true_class, None,
-            None if anchor is None else anchor[None], prox_mu,
+            spec, _unpack(spec, theta), grad, _unpack(spec, grad), x[None], true_class, None
         )
+        if anchor is not None:
+            _add_prox(theta, grad, losses, slice(0, 1), anchor[None], np.array([prox_mu]))
         _check_step(spec, losses, grad, theta)
     return float(losses[0]), grad[0]
 
@@ -224,20 +227,18 @@ def _losses(spec: ModelSpec, stack: np.ndarray, x: np.ndarray, y: np.ndarray) ->
 
 def _loss_grad_into(
     spec: ModelSpec,
-    theta: np.ndarray,
     views: list[np.ndarray],
     grad: np.ndarray,
     grad_views: list[np.ndarray],
     x: np.ndarray,
     true_class: np.ndarray,
     counts: np.ndarray | None,
-    anchor: np.ndarray | None,
-    prox_mu: float,
 ) -> np.ndarray:
-    """Each client's loss and gradient for a stack of c clients on r-row windows.
+    """Each client's cross-entropy and its gradient for a stack of c
+    clients on r-row windows.
 
-    `theta`, `grad` and `anchor` are (c, P) stacks, `views` and
-    `grad_views` the `_unpack` of `theta` and `grad`, and `x` is
+    `grad` is a (c, P) stack, `views` and `grad_views` the `_unpack` of
+    the parameter stack and of `grad`, and `x` is
     (c, r, F). `true_class` holds, for each of the c * r window rows in
     order, the flat offset of its class's entry in a (c, r, K) array of
     scores: the row's index times K plus its class id. With `counts`
@@ -254,8 +255,9 @@ def _loss_grad_into(
     client's numbers equal a c = 1 call on the same window bit for bit.
     A padded window equals its true rows alone only to rounding,
     because BLAS tiles the longer product differently. Callers hold
-    forward_loss_grad's argument checks, silence numpy's floating-point
-    warnings and run `_check_step`.
+    forward_loss_grad's argument checks, add any proximal term
+    (`_add_prox`), silence numpy's floating-point warnings and run
+    `_check_step`.
     """
     c, r = x.shape[:2]
     # `dz` holds the logits, then in place their softmax, then the
@@ -284,21 +286,39 @@ def _loss_grad_into(
         np.matmul(x.transpose(0, 2, 1), dh, out=gw1)
         np.add.reduce(dh, axis=1, out=gb1)
     # the sign flip after each client's sum is exact, so this is the mean of -log p
-    losses = -np.add.reduce(log_p, axis=1) / counts
-    if prox_mu > 0.0:
-        diff = theta - anchor
-        for i, d in enumerate(diff):
-            losses[i] += 0.5 * prox_mu * float(d @ d)
-        grad += prox_mu * diff
-    return losses
+    return -np.add.reduce(log_p, axis=1) / counts
 
 
-def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np.ndarray) -> None:
+def _add_prox(
+    theta: np.ndarray,
+    grad: np.ndarray,
+    losses: np.ndarray,
+    rows,
+    anchor: np.ndarray,
+    mus: np.ndarray,
+) -> None:
+    """Add FedProx's term to the stack `rows` (a slice or an index array):
+    row i's loss gains 0.5 * mu * |theta_i - anchor|^2 and its gradient
+    mu * (theta_i - anchor), with its own anchor and mu from `anchor`
+    and `mus`, which hold one entry per selected row."""
+    diff = theta[rows] - anchor
+    losses[rows] += 0.5 * mus * np.array([d @ d for d in diff])
+    grad[rows] += mus[:, None] * diff
+
+
+def _check_step(
+    spec: ModelSpec,
+    losses: np.ndarray,
+    grad: np.ndarray,
+    theta: np.ndarray,
+    clients: list[int] | None = None,
+) -> None:
     """Raise NumericError for the first client of a stack with a non-finite
     loss or gradient, naming its first bad parameter segment, else its
     first bad gradient segment. A non-finite parameter spreads into every
     gradient segment through the backward pass, so the parameters are
-    checked first. Callers silence numpy's floating-point warnings."""
+    checked first. The error carries `clients[i]` for stack row i, when
+    `clients` is given. Callers silence numpy's floating-point warnings."""
     # a finite sum proves every entry finite; a sum of finite entries that
     # overflows goes on to the exact test below, which passes it
     if math.isfinite(np.add.reduce(grad, axis=None) + np.add.reduce(losses)):
@@ -306,9 +326,18 @@ def _check_step(spec: ModelSpec, losses: np.ndarray, grad: np.ndarray, theta: np
     if np.isfinite(grad).all() and np.isfinite(losses).all():
         return
     i = int(np.argmin(np.isfinite(grad).all(axis=1) & np.isfinite(losses)))
-    spec.check_finite(theta[i])
-    spec.check_finite(grad[i])
-    raise NumericError("non-finite loss")
+    client = None if clients is None else clients[i]
+    spec.check_finite(theta[i], client)
+    spec.check_finite(grad[i], client)
+    raise NumericError("non-finite loss", client)
+
+
+def _leading_rows(rows: list[int], active: int) -> tuple[int, slice | np.ndarray]:
+    """How many of the ascending stack `rows` fall in the first `active`
+    rows, and those rows: as a slice when they are the stack's first
+    rows, which indexes as a view, else as an index array."""
+    n = bisect.bisect_left(rows, active)
+    return n, slice(0, n) if not n or rows[n - 1] == n - 1 else np.array(rows[:n])
 
 
 @dataclass(frozen=True)
@@ -328,17 +357,22 @@ def _local_train(
     train: LocalTrainSpec,
     opt: OptState,
     rngs: list[Rng],
-    grad_offsets: list[np.ndarray] | None = None,
+    grad_offsets: list[np.ndarray | None] | None = None,
+    prox_mus: list[float] | None = None,
 ) -> tuple[np.ndarray, LocalStats]:
     """Train m clients, each from its own start, by E epochs of batched SGD with momentum.
 
     Client k trains a copy of `starts[k]` on `features[k]`, `labels[k]`.
     Each of its epochs draws a shuffle from `rngs[k]` and splits it into
-    batches of `batch_size`; the short remainder batch is kept.
-    `grad_offsets[k]`, when given, is added to each of its batch
-    gradients (the control-variate correction hook). Velocity starts at
-    zero. Returns the (m, P) trained parameters in input order and the
-    call's stats; E=0 returns copies of the starts.
+    batches of `batch_size`; the short remainder batch is kept. Its loss
+    carries FedProx's proximal pull toward its start with weight
+    `prox_mus[k]` when that list is given, else `train.prox_mu`; a
+    weight of 0 adds none. `grad_offsets[k]`, when the list is given and
+    the entry is not None, is added to each of its batch gradients (the
+    control-variate correction hook). Velocity starts at zero. Returns
+    the (m, P) trained parameters in input order and the call's stats;
+    E=0 returns copies of the starts. Epochs, batch size, learning rate
+    and momentum are shared by every client of the call.
 
     The whole call is laid out before its first step. The clients' rows
     sit one after another in one array, followed by one zero row. Each
@@ -360,21 +394,35 @@ def _local_train(
     the step on the r rows alone to rounding, not bit for bit. A
     client's result is bit-identical to training it alone, whatever the
     other clients or their order. A non-finite loss, gradient or result
-    raises NumericError naming the first bad segment.
+    raises NumericError naming the first bad segment and carrying the
+    bad client's input position.
+
+    The proximal term and the offsets go only to the stack rows of the
+    clients that have them, by row index, or by a slice when those are
+    the stack's first rows; their anchors and offsets are stored for
+    them alone. A zero offset in the other rows would not be neutral,
+    because -0.0 + 0.0 is +0.0. A call in which no client has either
+    takes no extra step.
     """
     m = len(starts)
     sizes = [len(y) for y in labels]
     if not m or min(sizes) == 0:
         raise InvalidArgument("client data must be non-empty")
-    batch, prox_mu, lr, momentum = train.batch_size, train.prox_mu, opt.lr, opt.momentum
+    batch, lr, momentum = train.batch_size, opt.lr, opt.momentum
     per_epoch = [-(-n // batch) for n in sizes]
     # a stable sort: clients with equal schedules keep their input order
     order = sorted(range(m), key=lambda k: -per_epoch[k])
     theta = np.array([starts[k] for k in order], dtype=np.float64)
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    anchor = theta.copy() if prox_mu > 0.0 else None
-    offsets = None if grad_offsets is None else np.array([grad_offsets[k] for k in order])
+    mus = [train.prox_mu] * m if prox_mus is None else prox_mus
+    # ascending stack rows of the clients with a proximal term or an offset
+    prox_rows = [i for i, k in enumerate(order) if mus[k] > 0.0]
+    anchor = theta[prox_rows]
+    prox_weights = np.array([mus[order[i]] for i in prox_rows])
+    given = grad_offsets or [None] * m
+    offset_rows = [i for i, k in enumerate(order) if given[k] is not None]
+    offsets = np.array([given[order[i]] for i in offset_rows])
     sizes = [sizes[k] for k in order]
     per_epoch = [per_epoch[k] for k in order]
     steps = [train.epochs * b for b in per_epoch]
@@ -388,8 +436,8 @@ def _local_train(
     for i, k in enumerate(order):
         n = sizes[i]
         epochs = sched[bases[i] : bases[i + 1]].reshape(train.epochs, per_epoch[i] * batch)
-        for epoch in epochs:
-            epoch[:n] = rngs[k].permutation(n)
+        for epoch, shuffle in zip(epochs, rngs[k].permutations(n, train.epochs)):
+            epoch[:n] = shuffle
         epochs[:, :n] += firsts[i]
     # every client's true row count on each step where some still-training
     # client's batch is short, the last of an epoch
@@ -415,20 +463,20 @@ def _local_train(
                 # views of the clients still training, updated only in place
                 t_a, g_a, v_a, l_a = theta[:active], grad[:active], vel[:active], loss_sum[:active]
                 views, grad_views = _unpack(spec, t_a), _unpack(spec, g_a)
-                anc_a = None if anchor is None else anchor[:active]
-                o_a = None if offsets is None else offsets[:active]
+                n_prox, prox_a = _leading_rows(prox_rows, active)
+                n_off, off_a = _leading_rows(offset_rows, active)
                 s_a, r_a = slots[: active * batch], row_offsets[: active * batch]
             rows = sched.take(s_a + step * batch)
             x = x_all.take(rows, axis=0).reshape(active, *window)
             true_class = y_all.take(rows)
             true_class += r_a
             counts = true_rows[step][:active] if step in true_rows else None
-            step_loss = _loss_grad_into(
-                spec, t_a, views, g_a, grad_views, x, true_class, counts, anc_a, prox_mu
-            )
-            _check_step(spec, step_loss, g_a, t_a)
-            if o_a is not None:
-                g_a += o_a
+            step_loss = _loss_grad_into(spec, views, g_a, grad_views, x, true_class, counts)
+            if n_prox:
+                _add_prox(t_a, g_a, step_loss, prox_a, anchor[:n_prox], prox_weights[:n_prox])
+            _check_step(spec, step_loss, g_a, t_a, order)
+            if n_off:
+                g_a[off_a] += offsets[:n_off]
             v_a *= momentum
             v_a += g_a
             # the gradients are spent, so their buffer takes lr * velocity
@@ -437,8 +485,8 @@ def _local_train(
             l_a += step_loss
     position = sorted(range(m), key=order.__getitem__)  # stack row of each input
     out = theta[position]
-    for row in out:
-        spec.check_finite(row)
+    for k, row in enumerate(out):
+        spec.check_finite(row, k)
     # 0.0 rather than NaN for the no-step case keeps logs comparable
     mean_losses = tuple(float(loss_sum[i]) / steps[i] if steps[i] else 0.0 for i in position)
     return out, LocalStats(sum(steps), tuple(steps[i] for i in position), mean_losses)

@@ -47,6 +47,24 @@ class TestRng:
                 seen.add(sub.uniform(4).tobytes())
         assert len(seen) == 400
 
+    @pytest.mark.parametrize("n, count", [(1, 3), (20, 5), (100, 1), (100, 20), (700, 2)])
+    def test_permutations_read_the_words_of_successive_permutations(self, n, count):
+        one_by_one, together = Rng(3, 11), Rng(3, 11)
+        expected = [one_by_one.permutation(n) for _ in range(count)]
+        got = together.permutations(n, count)
+        assert [p.tolist() for p in got] == [p.tolist() for p in expected]
+        # both streams go on from the same word
+        assert together.uniform(5).tolist() == one_by_one.uniform(5).tolist()
+
+    def test_fresh_stream_refills_only_what_it_asks_for(self):
+        # a short substream buffers the words its first request asks for,
+        # not a whole block; later refills take whole blocks again
+        rng = Rng(5).substream("client", 0, 0)
+        rng.permutations(20, 5)
+        assert len(rng._buf) < Rng._BLOCK // 4
+        rng.uniform(Rng._BLOCK)
+        assert len(rng._buf) >= Rng._BLOCK
+
     def test_substream_reproducible(self):
         a = Rng(7).substream("client", 3, 9).uniform(16)
         b = Rng(7).substream("client", 3, 9).uniform(16)

@@ -526,6 +526,48 @@ class TestStacking:
         # n = 1..35 with B = 10 gives every remainder 1..9 and full batches
         self._check(list(range(1, 36)), kind, n_classes, prox_mu, True, 7)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        clients=st.lists(
+            st.tuples(st.integers(1, 35), st.sampled_from([0.0, 0.05, 0.3]), st.booleans()),
+            min_size=1, max_size=7,
+        ),
+        kind=st.sampled_from(["logreg", "mlp"]),
+        seed=st.integers(0, 2**16),
+        epochs=st.sampled_from([1, 2]),
+    )
+    def test_per_client_prox_and_offsets_equal_each_alone(self, clients, kind, seed, epochs):
+        # each client has its own FedProx weight (0: none) and its own
+        # offset or none, in one stack; whichever stack rows carry them,
+        # each client equals itself trained alone with just its own
+        sizes = [n for n, _, _ in clients]
+        spec, data, starts, offsets = self._clients(sizes, kind, 10, True, seed)
+        offsets = [o if has else None for o, (_, _, has) in zip(offsets, clients)]
+        mus = [mu for _, mu, _ in clients]
+        opt = OptState(0.05, 0.9)
+        out, stats = _local_train(
+            spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(epochs, 10),
+            opt, [Rng(seed, 300 + k) for k in range(len(sizes))], offsets, mus,
+        )
+        for k, mu in enumerate(mus):
+            alone, steps, mean_loss = train_one(
+                spec, starts[k], *data[k], LocalTrainSpec(epochs, 10, mu), opt,
+                Rng(seed, 300 + k), offsets[k],
+            )
+            assert np.array_equal(out[k], alone), f"client {k}"
+            assert (stats.client_steps[k], stats.mean_losses[k]) == (steps, mean_loss)
+
+    def test_diverging_client_is_named_by_input_position(self):
+        # the stack trains the longest schedule first, yet the error
+        # carries the diverging client's position in the input
+        spec, data, starts, _ = self._clients([4, 30, 12], "logreg", 10, False, 2)
+        with pytest.raises(NumericError) as err:
+            _local_train(
+                spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(2, 10),
+                OptState(0.05, 0.9), [Rng(2, k) for k in range(3)], None, [0.0, 0.0, 1e300],
+            )
+        assert err.value.client == 2
+
     def test_each_stream_ends_after_its_epoch_shuffles(self):
         # the shuffles are drawn at call start, yet each client's stream
         # ends where E epoch-by-epoch permutation draws leave it
