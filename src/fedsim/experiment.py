@@ -23,13 +23,26 @@ from pathlib import Path
 from .core import Rng, hash64
 from .data import Dataset, SyntheticSpec, generate_synthetic, load_mnist_dir
 from .errors import ConfigError, FedsimError, InvalidArgument
-from .federation import (
+# run_federation and newcomer_protocol are not called here, but stay
+# bound: perfbench/tracing.py wraps them by this module's name, and a
+# name it cannot find nulls the figures built on it
+from .federation import (  # noqa: F401
     PERSONALIZED_ALGORITHMS,
     FederationConfig,
+    Task,
+    _ClientData,
+    _drive,
+    _federation_task,
     participant_count,
     run_federation,
 )
-from .metrics import MetricReport, compute_report, newcomer_protocol
+from .metrics import (  # noqa: F401
+    MetricReport,
+    _newcomer_task,
+    compute_report,
+    newcomer_count,
+    newcomer_protocol,
+)
 from .model import LocalTrainSpec, ModelSpec, OptState
 from .partition import PartitionSpec, attach_local_tests, make_partitions
 
@@ -470,44 +483,120 @@ def run_inputs(cfg: ExperimentConfig, seed: int, cache: dict | None = None):
     Data and partitions are drawn from substreams of `seed` alone, so
     configs run at one seed see the same (train, test) pair when their
     dataset matches, and the same partitions when their partition spec
-    matches too. `cache` holds the pair by dataset key and the attached
-    partitions by (dataset key, partition spec), so callers that pass
-    one dict build each only once. Nothing downstream mutates them, so
-    a shared entry gives the same result as one built here.
+    matches too. `cache` holds the pair by dataset key, and the attached
+    partitions with their clients' train rows (`_ClientData`) by
+    (dataset key, partition spec), so callers that pass one dict build
+    each only once. Nothing downstream mutates them, so a shared entry
+    gives the same result as one built here.
     """
+    train, test, partitions, _ = _run_inputs(cfg, seed, cache)
+    return train, test, partitions
+
+
+def _input_keys(cfg: ExperimentConfig) -> tuple[tuple, tuple]:
+    """The `run_inputs` cache keys of `cfg`'s (train, test) pair and of
+    its partitions."""
+    data_key = (cfg.dataset, cfg.synthetic if cfg.dataset == "synthetic" else cfg.mnist_dir)
+    return data_key, (data_key, cfg.partition_spec())
+
+
+def _run_inputs(cfg: ExperimentConfig, seed: int, cache: dict | None):
+    """`run_inputs`, plus the partitions' train rows."""
     root = Rng(seed)
     inputs = {} if cache is None else cache
-    data_key = (cfg.dataset, cfg.synthetic if cfg.dataset == "synthetic" else cfg.mnist_dir)
+    data_key, parts_key = _input_keys(cfg)
     if data_key not in inputs:
         if cfg.dataset == "synthetic":
             inputs[data_key] = generate_synthetic(cfg.synthetic, root.substream("data"))
         else:
             inputs[data_key] = load_mnist_dir(cfg.mnist_dir)
     train, test = inputs[data_key]
-    spec = cfg.partition_spec()
-    if (data_key, spec) not in inputs:
-        partitions = make_partitions(train, spec, root.substream("partition"))
-        inputs[data_key, spec] = attach_local_tests(partitions, test)
-    return train, test, inputs[data_key, spec]
+    if parts_key not in inputs:
+        partitions = make_partitions(train, parts_key[1], root.substream("partition"))
+        partitions = attach_local_tests(partitions, test)
+        inputs[parts_key] = partitions, _ClientData(train, partitions)
+    return train, test, *inputs[parts_key]
+
+
+# the `run_inputs` cache keys under which `run_sweep` lists the cells that
+# train in lock-step with the next `run_single` call, and under which that
+# call leaves the other cells' outcomes
+_GROUP, _OUTCOMES = "lock-step group", "lock-step outcomes"
 
 
 def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None):
     """One full pipeline pass: data, partition, federate, measure.
 
     `_inputs` is internal: `run_sweep` passes one `run_inputs` cache per
-    run, so the cells of that run share its data and partitions.
+    run, so the cells of that run share its data and partitions. It also
+    lists there the group of cells that trains in lock-step with `cfg`:
+    the first call for a cell of the group trains every cell of it and
+    leaves the others' outcomes in the cache, where their own calls find
+    them. Alone, `cfg` is a group of one.
     """
-    train, test, partitions = run_inputs(cfg, seed, _inputs)
+    inputs = {} if _inputs is None else _inputs
+    outcomes = inputs.get(_OUTCOMES, {})
+    if cfg not in outcomes:
+        group = inputs.pop(_GROUP, [cfg])
+        tasks = [_cell_task(cell, seed, inputs) for cell in group]
+        outcomes = inputs[_OUTCOMES] = dict(zip(group, _drive(tasks)))
+    outcome = outcomes.pop(cfg)
+    if isinstance(outcome, FedsimError):
+        raise outcome
+    return outcome
+
+
+def _cell_task(cfg: ExperimentConfig, seed: int, inputs: dict) -> Task:
+    """`run_single` of one cell as a task: its round loops, then any
+    fine-tune, yield their training as jobs."""
+    train, test, partitions, data = _run_inputs(cfg, seed, inputs)
     model_spec = cfg.model_spec(train)
     fed = cfg.federation_config(seed)
     newcomer_accuracy = None
     if cfg.newcomer:
-        result, newcomer_accuracy = newcomer_protocol(fed, model_spec, partitions, train, test)
+        result, newcomer_accuracy = yield from _newcomer_task(
+            fed, model_spec, partitions, train, test, data
+        )
     else:
-        result = run_federation(fed, model_spec, partitions, train, test)
+        result = yield from _federation_task(fed, model_spec, partitions, train, test, data=data)
     report = compute_report(result, fed, model_spec, partitions, test)
     report = dataclasses.replace(report, newcomer_accuracy=newcomer_accuracy)
     return report, result, partitions, model_spec, (train, test)
+
+
+# Consecutive sweep cells train in lock-step while one round's call holds
+# at most this many clients. Past about 20 clients a bigger stack saves no
+# more time per client step, but every cell in the group keeps its state
+# alive at once.
+GROUP_CLIENTS = 24
+
+
+def _round_clients(cfg: ExperimentConfig) -> int:
+    """Clients one round of `cfg` trains: the main federation's, plus the
+    trainer federation's under the newcomer protocol."""
+    if cfg.algorithm == "solo":
+        return cfg.n_clients
+    m = participant_count(cfg.n_clients, cfg.sample_rate)
+    if cfg.newcomer:
+        m += participant_count(cfg.n_clients - newcomer_count(cfg.n_clients), cfg.sample_rate)
+    return m
+
+
+def lockstep_groups(cfgs: list[ExperimentConfig]) -> list[list[int]]:
+    """Indices of consecutive cells that train in lock-step: a cell joins
+    the group before it while their rounds hold at most GROUP_CLIENTS
+    clients; a wider cell trains alone."""
+    groups: list[list[int]] = []
+    width = 0
+    for i, cfg in enumerate(cfgs):
+        clients = _round_clients(cfg)
+        if groups and width + clients <= GROUP_CLIENTS:
+            groups[-1].append(i)
+            width += clients
+        else:
+            groups.append([i])
+            width = clients
+    return groups
 
 
 def _metric_items(cfg: ExperimentConfig, report: MetricReport) -> list[tuple[str, float]]:
@@ -582,22 +671,38 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     common-random-number pairs: cells that differ only in the algorithm
     see the same data, partitions and sampled clients. The sweep
     goes run by run, and the cells of a run share its (train, test) pair
-    and, per partition spec, its partitions (see `run_single`); these are
-    dropped when the run ends. Rows come out cell by cell, run order
-    within each cell.
+    and, per partition spec, its partitions and client rows (see
+    `run_single`); each partition spec's are dropped after the last cell
+    of the run that reads them, the rest when the run ends. Within a run the
+    cells train in lock-step, group by group (`lockstep_groups`): each
+    round, the jobs of a group's cells that share a model and training
+    settings train in one stacked `_local_train` call. A client's result
+    does not depend on its stack, so every (cell, run) result is
+    bit-identical to `run_single` of that cell alone; a cell that
+    diverges fails alone. Rows come out cell by cell, run order within
+    each cell.
     """
     cell_cfgs = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
+    groups = lockstep_groups(cell_cfgs)
     outcomes: list[list[RunOutcome]] = [[] for _ in cell_cfgs]
     for r in range(cfg.runs):
         seed = hash64(cfg.seed, r)
         inputs: dict = {}
-        for cell_cfg, cell_outcomes in zip(cell_cfgs, outcomes):
-            try:
-                report, *_ = run_single(cell_cfg, seed, _inputs=inputs)
-            except FedsimError as exc:
-                cell_outcomes.append((seed, str(exc)))
-            else:
-                cell_outcomes.append((seed, _metric_items(cell_cfg, report)))
+        for group in groups:
+            inputs[_GROUP] = [cell_cfgs[i] for i in group]
+            for i in group:
+                try:
+                    # only the report: the rest would keep this run's data
+                    # alive into the next run
+                    report = run_single(cell_cfgs[i], seed, _inputs=inputs)[0]
+                except FedsimError as exc:
+                    outcomes[i].append((seed, str(exc)))
+                else:
+                    outcomes[i].append((seed, _metric_items(cell_cfgs[i], report)))
+            # drop the partitions and client rows no later cell of the run reads
+            later = {_input_keys(c)[1] for c in cell_cfgs[group[-1] + 1 :]}
+            for key in {_input_keys(cell_cfgs[i])[1] for i in group} - later:
+                inputs.pop(key, None)
     rows: list[ResultRow] = []
     errors: list[str] = []
     for i, (cell_cfg, cell_outcomes) in enumerate(zip(cell_cfgs, outcomes)):

@@ -22,10 +22,18 @@ ones the models they keep.
 The selected clients train together in one stacked `_local_train`
 call, each on its own random substream; a client's result does not
 depend on which clients share the stack or their order. Fusion
-consumes the results in client-id order. The loop is a generator that
-yields its round's job, and `run_federation` steps every federation it
-trains one round at a time, so the newcomer protocol's trainer
-federation shares each round's call with the main federation.
+consumes the results in client-id order. The loop is a task: a
+generator that yields its round's job (starts, rows, substreams and
+training settings) and is sent back the trained rows. `_drive` steps
+any number of tasks one round at a time and trains the jobs of each
+step that share a model, epochs, batch size, lr and momentum in one
+call, each job's FedProx weight and SCAFFOLD offsets going to its own
+clients only. `run_federation` drives the main federation, and with
+newcomers the trainer federation in lock-step with it; a sweep drives
+the cells of a run seed that way, group by group
+(`experiment.lockstep_groups`). When a merged call diverges, the step
+is trained again one call per task, so only the diverging task fails,
+with an error naming its federation and round.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ import numpy as np
 
 from .core import Rng
 from .data import Dataset
-from .errors import IncompatibleShape, InvalidArgument
+from .errors import FedsimError, IncompatibleShape, InvalidArgument, NumericError
 from .model import (
     LocalStats,
     LocalTrainSpec,
@@ -268,7 +276,8 @@ def scaffold_client_variate(
 
 
 class _ClientData:
-    """Per-client train arrays resolved once per run."""
+    """Per-client train arrays, resolved once per (dataset, partitions)
+    and shared by every federation trained on them."""
 
     def __init__(self, train: Dataset, partitions: list[ClientPartition]):
         self.features = [train.features[p.train_indices] for p in partitions]
@@ -316,88 +325,204 @@ def run_federation(
     stack, each result is bit-identical to training that federation
     alone. Within a round the main federation's own work runs first.
     """
+    return _run(_federation_task(config, model_spec, partitions, train, test, newcomers))
+
+
+def _federation_task(
+    config, model_spec, partitions, train, test, newcomers=None, data: _ClientData | None = None
+) -> Task:
+    """`run_federation` as a task; `data`, when given, holds the rows of
+    `partitions` in `train`."""
     if len(partitions) != config.n_clients:
         raise InvalidArgument(
             f"config declares {config.n_clients} clients, got {len(partitions)} partitions"
         )
-    data = _ClientData(train, partitions)
+    data = _ClientData(train, partitions) if data is None else data
     # the main federation evaluates the window gfl_metric averages; the
     # trainer's accuracies feed no metric, so it evaluates no round
-    federations = [(config, data, participant_count(config.n_clients, config.sample_rate))]
+    window = participant_count(config.n_clients, config.sample_rate)
+    loops = [_round_loop(config, model_spec, data, test, window)]
     if newcomers is not None:
         trainer_config, positions = trainer_federation(config, partitions, newcomers)
-        federations.append((trainer_config, data.subset(positions), 0))
-    loops = [_round_loop(cfg, model_spec, cfg_data, test, k) for cfg, cfg_data, k in federations]
-    results = _drive(model_spec, OptState(config.lr, config.momentum), loops)
+        trainer_data = data.subset(positions)
+        loops.append(_round_loop(trainer_config, model_spec, trainer_data, test, 0, "trainer"))
+    results = yield from _lockstep(loops)
     return results[0] if newcomers is None else tuple(results)
 
 
 class _Job(NamedTuple):
-    """One round's `_local_train` arguments, less the model and optimiser."""
+    """One stacked `_local_train` call's worth of clients and its settings.
 
+    `label` names the job in the NumericError of a diverging client,
+    for example "trainer federation round 3".
+    """
+
+    label: str
+    model_spec: ModelSpec
+    spec: LocalTrainSpec
+    opt: OptState
     starts: list[np.ndarray]
     features: list[np.ndarray]
     labels: list[np.ndarray]
-    spec: LocalTrainSpec
     rngs: list[Rng]
     grad_offsets: list[np.ndarray] | None = None
 
 
-# a round loop yields a job per round, is sent back the trained rows and
-# stats of that job's clients in its order, and returns its RunResult
-RoundLoop = Generator[_Job, tuple[np.ndarray, LocalStats], RunResult]
+Reply = tuple[np.ndarray, LocalStats]
+# A task yields the jobs of its next step, is sent back their trained rows
+# and stats in that order, and returns its result. A round loop is a task
+# of one job a round; a sweep cell is one task.
+Task = Generator[list[_Job], list[Reply], object]
 
 
-def _drive(model_spec: ModelSpec, opt: OptState, loops: list[RoundLoop]) -> list[RunResult]:
-    """Advance every round loop by one round at a time until each returns;
-    each round's jobs train together (`_train_jobs`)."""
-    results: list[RunResult | None] = [None] * len(loops)
-    replies = dict.fromkeys(range(len(loops)))
+def _run(task: Task):
+    """Drive one task alone: its result, or the FedsimError it raised."""
+    (outcome,) = _drive([task])
+    if isinstance(outcome, FedsimError):
+        raise outcome
+    return outcome
+
+
+def _lockstep(tasks: list[Task]) -> Task:
+    """The tasks advanced together as one: each step yields the jobs of
+    every task still running, in task order, and it returns their
+    results. An error in one task ends them all."""
+    results: list = [None] * len(tasks)
+    replies: dict[int, list[Reply] | None] = dict.fromkeys(range(len(tasks)))
+    while True:
+        jobs = _next_jobs(tasks, replies, results, ())
+        if not jobs:
+            return results
+        trained = yield [job for task_jobs in jobs.values() for job in task_jobs]
+        lo = 0
+        for i, task_jobs in jobs.items():
+            replies[i] = trained[lo : lo + len(task_jobs)]
+            lo += len(task_jobs)
+        del jobs, trained
+
+
+def _drive(tasks: list[Task]) -> list:
+    """Advance every task one step at a time until each returns; each
+    step's jobs train together (`_train_tasks`). Returns each task's
+    result, or the FedsimError it raised: a failed task is dropped and
+    the others go on."""
+    outcomes: list = [None] * len(tasks)
+    replies: dict[int, list[Reply] | None] = dict.fromkeys(range(len(tasks)))
     while replies:
-        replies = _train_jobs(model_spec, opt, _next_jobs(loops, replies, results))
-    return results
+        jobs = _next_jobs(tasks, replies, outcomes, FedsimError)
+        replies = _train_tasks(tasks, jobs, outcomes)
+        del jobs
+    return outcomes
 
 
-def _next_jobs(loops, replies, results) -> dict[int, _Job]:
-    """Send each loop its reply; return the jobs of those still running."""
+def _next_jobs(tasks, replies, outcomes, caught) -> dict[int, list[_Job]]:
+    """Send each task its reply; return the jobs of those still running.
+    A finished task's outcome is its result, or the exception of type
+    `caught` it raised. Each reply is dropped once sent, so no trained
+    row outlives its task's use of it."""
     jobs = {}
-    for i, reply in replies.items():
+    for i in list(replies):
         try:
-            jobs[i] = loops[i].send(reply)
+            jobs[i] = tasks[i].send(replies.pop(i))
         except StopIteration as done:
-            results[i] = done.value
+            outcomes[i] = done.value
+        except caught as exc:
+            outcomes[i] = exc
     return jobs
 
 
-def _train_jobs(model_spec, opt, jobs: dict[int, _Job]) -> dict[int, tuple]:
-    """Train every job in one `_local_train` call, in loop order, and split
-    its rows and stats back per loop.
+def _train_tasks(tasks, jobs: dict[int, list[_Job]], outcomes) -> dict[int, list[Reply]]:
+    """Train one step's jobs of every task together (`_train_jobs`).
 
-    The loops come from one config, so their jobs share a train spec and
-    all carry gradient offsets or none. The jobs hold the round's Rngs and
-    offsets, and are dropped on return, before the loops fuse and evaluate.
+    If that raises NumericError with more than one task in the step, each
+    task's jobs are trained again on their own: a client's result does
+    not depend on its stack, so the other tasks go on bit-identical to
+    being driven alone, and only a task that diverges alone fails.
     """
-    if not jobs:
-        return {}
-    batch = list(jobs.values())
-    trained, stats = _local_train(
-        model_spec,
-        [theta for job in batch for theta in job.starts],
-        [x for job in batch for x in job.features],
-        [y for job in batch for y in job.labels],
-        batch[0].spec,
-        opt,
-        [rng for job in batch for rng in job.rngs],
-        None if batch[0].grad_offsets is None else [o for job in batch for o in job.grad_offsets],
-    )
-    replies, lo = {}, 0
-    for i, job in jobs.items():
+    merged = jobs
+    if len(jobs) > 1:
+        # the merged attempt draws from copies of the Rngs, so that a
+        # retry reads the same streams
+        merged = {
+            i: [job._replace(rngs=[copy.copy(rng) for rng in job.rngs]) for job in task_jobs]
+            for i, task_jobs in jobs.items()
+        }
+    try:
+        return _train_jobs(merged)
+    except NumericError as exc:
+        if len(jobs) == 1:
+            (i,) = jobs
+            outcomes[i] = exc
+            tasks[i].close()
+            return {}
+    replies = {}
+    for i, task_jobs in jobs.items():
+        try:
+            replies.update(_train_jobs({i: task_jobs}))
+        except NumericError as exc:
+            outcomes[i] = exc
+            tasks[i].close()
+    return replies
+
+
+def _train_jobs(jobs: dict[int, list[_Job]]) -> dict[int, list[Reply]]:
+    """Train the jobs of each task, one `_local_train` call for the jobs
+    that share its shared settings (model, epochs, batch size, lr and
+    momentum), in the order each setting first appears, and split the
+    rows and stats back per job."""
+    calls: dict[tuple, list[tuple[int, int]]] = {}
+    for i, task_jobs in jobs.items():
+        for p, job in enumerate(task_jobs):
+            key = (job.model_spec, job.spec.epochs, job.spec.batch_size, job.opt)
+            calls.setdefault(key, []).append((i, p))
+    replies = {i: [None] * len(task_jobs) for i, task_jobs in jobs.items()}
+    for members in calls.values():
+        trained = _train_call([jobs[i][p] for i, p in members])
+        for (i, p), reply in zip(members, trained):
+            replies[i][p] = reply
+    return replies
+
+
+def _train_call(batch: list[_Job]) -> list[Reply]:
+    """One `_local_train` call over the clients of `batch`, in job order.
+
+    Each job's FedProx weight and offsets go to its own clients only. A
+    NumericError is raised again prefixed by the label of the job that
+    holds the diverging client. The jobs hold the round's Rngs and
+    offsets, and are dropped on return, before the tasks fuse and
+    evaluate.
+    """
+    first = batch[0]
+    offsets = None
+    if any(job.grad_offsets is not None for job in batch):
+        offsets = [o for job in batch for o in job.grad_offsets or [None] * len(job.starts)]
+    try:
+        trained, stats = _local_train(
+            first.model_spec,
+            [theta for job in batch for theta in job.starts],
+            [x for job in batch for x in job.features],
+            [y for job in batch for y in job.labels],
+            first.spec,
+            first.opt,
+            [rng for job in batch for rng in job.rngs],
+            offsets,
+            [job.spec.prox_mu for job in batch for _ in job.starts],
+        )
+    except NumericError as exc:
+        lo = 0
+        for job in batch:
+            if exc.client is not None and exc.client < lo + len(job.starts):
+                raise NumericError(f"{job.label}: {exc}") from exc
+            lo += len(job.starts)
+        raise
+    replies, lo = [], 0
+    for job in batch:
         hi = lo + len(job.starts)
         steps = stats.client_steps[lo:hi]
-        # a view would keep the whole stack alive until every loop sharing
+        # a view would keep the whole stack alive until every job sharing
         # it has dropped its rows
         rows = trained if len(batch) == 1 else trained[lo:hi].copy()
-        replies[i] = rows, LocalStats(sum(steps), steps, stats.mean_losses[lo:hi])
+        replies.append((rows, LocalStats(sum(steps), steps, stats.mean_losses[lo:hi])))
         lo = hi
     return replies
 
@@ -442,11 +567,30 @@ def _fuse(config, theta, members, sizes, scaffold) -> np.ndarray:
     return fuse_fedavg([(local_p, sizes[k]) for k, local_p, _ in members])
 
 
-def _round_loop(config, model_spec, data, test, evaluated: int) -> RoundLoop:
+def _fuse_round(config, model_spec, pool, selected, slots, trained, steps, data, scaffold, label):
+    """Fuse each pool model that some selected client trained, in place;
+    solo's pool becomes the trained rows. A non-finite fused model
+    raises NumericError prefixed by `label`."""
+    if config.algorithm == "solo":
+        pool[:] = trained
+        return
+    members: dict[int, list] = {}
+    for k, j, local_p, s in zip(selected, slots, trained, steps):
+        members.setdefault(j, []).append((k, local_p, s))
+    for j in sorted(members):
+        pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
+        try:
+            model_spec.check_finite(pool[j])
+        except NumericError as exc:
+            raise NumericError(f"{label}: {exc}") from exc
+
+
+def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "main") -> Task:
     """The round protocol of every algorithm over its pool of models.
 
     The pool is evaluated on `test` only in the last `evaluated` rounds;
-    every other round logs its accuracy as None.
+    every other round logs its accuracy as None. `name` names the
+    federation, "main" or "trainer", in its errors.
     """
     algo, n = config.algorithm, config.n_clients
     root = Rng(config.seed)
@@ -461,10 +605,12 @@ def _round_loop(config, model_spec, data, test, evaluated: int) -> RoundLoop:
     heads = dict.fromkeys(range(n), pool[0][boundary:].copy()) if algo == "decoupled" else None
     scaffold = ScaffoldState.initial(len(pool[0]), range(n)) if algo == "scaffold" else None
     train_spec = replace(config.local, prox_mu=config.mu if algo == "fedprox" else 0.0)
+    opt = OptState(config.lr, config.momentum)
     test_idx = range(test.n_samples)
     logs: list[RoundLog] = []
 
     for t in range(config.rounds):
+        label = f"{name} federation round {t}"
         selected = (
             tuple(range(n)) if algo == "solo"
             else sample_clients(root.substream("sample", t), n, config.sample_rate)
@@ -473,27 +619,26 @@ def _round_loop(config, model_spec, data, test, evaluated: int) -> RoundLoop:
         starts = [pool[j] for j in slots]
         if heads is not None:
             starts = [_with_head(theta, heads[k], boundary) for k, theta in zip(selected, starts)]
-        trained, stats = yield _Job(
+        [(trained, stats)] = yield [_Job(
+            label,
+            model_spec,
+            train_spec,
+            opt,
             starts,
             [data.features[k] for k in selected],
             [data.labels[k] for k in selected],
-            train_spec,
             [root.substream("client", k, t) for k in selected],
             [scaffold.server - scaffold.clients[k] for k in selected] if scaffold else None,
+        )]
+        _fuse_round(
+            config, model_spec, pool, selected, slots, trained, stats.client_steps, data,
+            scaffold, label,
         )
-
-        if algo == "solo":
-            pool = list(trained)
-        else:
-            members: dict[int, list] = {}
-            for k, j, local_p, steps in zip(selected, slots, trained, stats.client_steps):
-                members.setdefault(j, []).append((k, local_p, steps))
-            for j in sorted(members):
-                pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
-                model_spec.check_finite(pool[j])
         if heads is not None:
-            for k, local_p in zip(selected, trained):
-                heads[k] = local_p[boundary:].copy()
+            for k, row in zip(selected, trained):
+                heads[k] = row[boundary:].copy()
+        # the next round's call need not hold this one's rows
+        del trained
 
         acc = None
         if t >= config.rounds - evaluated:
@@ -508,8 +653,7 @@ def _round_loop(config, model_spec, data, test, evaluated: int) -> RoundLoop:
     personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
         personal = _fine_tune_data(
-            pool[0], model_spec, data, config.ft_epochs, config.local.batch_size,
-            OptState(config.lr, config.momentum), root,
+            pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
         )
     elif heads is not None:
         personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}

@@ -17,14 +17,22 @@ import numpy as np
 from .core import Rng
 from .data import Dataset, allocate_local_test
 from .errors import InvalidArgument
-from .federation import (
+# run_federation and _local_train are not called here, but stay bound:
+# perfbench/tracing.py wraps them by this module's name, and a name it
+# cannot find nulls the figures built on it
+from .federation import (  # noqa: F401
     FederationConfig,
     RunResult,
+    Task,
+    _ClientData,
+    _federation_task,
+    _Job,
+    _run,
     assign_cluster,
     participant_count,
     run_federation,
 )
-from .model import LocalTrainSpec, ModelSpec, OptState, _local_train, evaluate
+from .model import LocalTrainSpec, ModelSpec, OptState, _local_train, evaluate  # noqa: F401
 from .partition import ClientPartition
 
 _EPS = 1e-9
@@ -124,9 +132,14 @@ def compute_report(
     )
 
 
+def newcomer_count(n_clients: int) -> int:
+    """How many of `n_clients` clients the newcomer protocol holds out."""
+    return int(math.floor(NEWCOMER_FRACTION * n_clients + _EPS))
+
+
 def newcomer_holdout(seed: int, n_clients: int) -> tuple[int, ...]:
     """Deterministic held-out client ids: floor(0.2 * N) of them."""
-    h = int(math.floor(NEWCOMER_FRACTION * n_clients + _EPS))
+    h = newcomer_count(n_clients)
     if h == 0:
         raise InvalidArgument(f"{n_clients} clients leave no newcomers to reserve")
     rng = Rng(seed).substream("newcomer-holdout")
@@ -143,32 +156,44 @@ def newcomer_protocol(
     """Reserve 20% of clients, train on the rest, adapt the newcomers.
 
     The main federation (all clients) and the trainer federation (all
-    but the newcomers) train in lock-step in one `run_federation` call.
-    Newcomers then receive the trainer's model (their best-loss cluster
-    for the clustered algorithm), fine-tune locally, and are scored by
-    the personalized rule, `local_test_accuracies`. Returns the main
-    federation's result and the newcomers' mean accuracy. Solo has no
-    shared model to hand over and is rejected.
+    but the newcomers) train in lock-step, as `run_federation` trains
+    them. Newcomers then receive the trainer's model (their best-loss
+    cluster for the clustered algorithm), fine-tune locally, and are
+    scored by the personalized rule, `local_test_accuracies`. Returns
+    the main federation's result and the newcomers' mean accuracy. Solo
+    has no shared model to hand over and is rejected.
     """
-    newcomers = newcomer_holdout(config.seed, config.n_clients)
-    result, trainer = run_federation(config, model_spec, partitions, train, test, newcomers)
+    return _run(_newcomer_task(config, model_spec, partitions, train, test))
 
-    local = LocalTrainSpec(epochs=config.ft_epochs, batch_size=config.local.batch_size)
-    opt = OptState(config.lr, config.momentum)
-    root = Rng(config.seed)
-    by_id = {p.client_id: p for p in partitions}
-    parts = [by_id[cid] for cid in newcomers]
-    xs = [train.features[part.train_indices] for part in parts]
-    ys = [train.labels[part.train_indices] for part in parts]
+
+def _newcomer_task(
+    config, model_spec, partitions, train, test, data: _ClientData | None = None
+) -> Task:
+    """`newcomer_protocol` as a task; `data`, when given, holds the rows
+    of `partitions` in `train`."""
+    newcomers = newcomer_holdout(config.seed, config.n_clients)
+    data = _ClientData(train, partitions) if data is None else data
+    result, trainer = yield from _federation_task(
+        config, model_spec, partitions, train, test, newcomers, data
+    )
+    position = {p.client_id: i for i, p in enumerate(partitions)}
+    xs = [data.features[position[cid]] for cid in newcomers]
+    ys = [data.labels[position[cid]] for cid in newcomers]
     if config.algorithm == "clustered":
         clusters = trainer.final_clusters
         starts = [clusters[assign_cluster(model_spec, clusters, x, y)] for x, y in zip(xs, ys)]
     else:
         starts = [trainer.final_global] * len(newcomers)
     # every newcomer adapts in one stacked call, each on its own substream
-    adapted, _ = _local_train(
-        model_spec, starts, xs, ys, local, opt,
+    root = Rng(config.seed)
+    [(adapted, _)] = yield [_Job(
+        "newcomer fine-tune",
+        model_spec,
+        LocalTrainSpec(epochs=config.ft_epochs, batch_size=config.local.batch_size),
+        OptState(config.lr, config.momentum),
+        starts, xs, ys,
         [root.substream("newcomer-ft", cid) for cid in newcomers],
-    )
+    )]
+    parts = [partitions[position[cid]] for cid in newcomers]
     per_newcomer = local_test_accuracies(model_spec, dict(zip(newcomers, adapted)), parts, test)
     return result, float(np.mean([per_newcomer[c] for c in newcomers]))

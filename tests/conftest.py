@@ -3,9 +3,8 @@ import pytest
 
 from fedsim.core import Rng
 from fedsim.data import Dataset, SyntheticSpec, generate_synthetic
-from fedsim.federation import _ClientData, _drive, _round_loop, trainer_federation
+from fedsim.federation import _ClientData, _round_loop, _run, trainer_federation
 from fedsim.metrics import newcomer_holdout
-from fedsim.model import OptState
 
 
 def balanced_dataset(
@@ -45,5 +44,4 @@ def trainer_alone(config, model_spec, partitions, train, test):
     newcomers = newcomer_holdout(config.seed, config.n_clients)
     trainer_config, positions = trainer_federation(config, partitions, newcomers)
     data = _ClientData(train, [partitions[i] for i in positions])
-    loop = _round_loop(trainer_config, model_spec, data, test, 0)
-    return _drive(model_spec, OptState(config.lr, config.momentum), [loop])[0]
+    return _run(_round_loop(trainer_config, model_spec, data, test, 0, "trainer"))

@@ -222,6 +222,19 @@ class TestExitCodes:
         # the failure is still recorded as an error row in the report
         assert "error" in (tmp_path / "run-out" / "results.csv").read_text()
 
+    def test_lockstep_divergence_names_federation_and_round(self, tmp_path, monkeypatch):
+        # fedprox diverges in the round call it shares with fedavg: only
+        # its runs fail, and the error says where
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "diverge.cfg"
+        cfg.write_text(TINY + "algo.mu = 1e300\nsweep.algorithm = fedavg,fedprox\n")
+        assert main(["sweep", str(cfg)]) == 3
+        manifest = (tmp_path / "sweep-out" / "manifest.txt").read_text()
+        assert "  - cell 1 run 0: main federation round 0: non-finite value in segment w\n" in manifest
+        rows = parse_csv_rows((tmp_path / "sweep-out" / "results.csv").read_text())
+        assert {r.metric for r in rows if r.algorithm == "fedprox"} == {"error"}
+        assert "error" not in {r.metric for r in rows if r.algorithm == "fedavg"}
+
     def test_sweep_axes_rejected_by_run(self, tmp_path):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text(TINY + "sweep.E = 1,2\n")

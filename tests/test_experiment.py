@@ -24,6 +24,7 @@ from fedsim.experiment import (
     emit_report,
     incentive_boundary,
     load_config,
+    lockstep_groups,
     manifest_text,
     parse_csv_rows,
     rows_to_csv_lines,
@@ -474,6 +475,71 @@ class TestRunSingle:
         assert cfg.digest() == load_config(write_config(tmp_path, TINY)).digest()
         other = load_config(write_config(tmp_path, TINY), {"seed": "10"})
         assert cfg.digest() != other.digest()
+
+
+class TestLockStepSweep:
+    """The cells of a sweep run train in lock-step, group by group, and
+    each (cell, run) equals `run_single` of that cell alone."""
+
+    def test_every_cell_run_equals_run_single_alone(self, monkeypatch):
+        import fedsim.experiment as experiment
+
+        cfg = config_from_entries(BENCH_SWEEP)
+        seen = {}
+        original = experiment.run_single
+
+        def recording(cell_cfg, seed, **kwargs):
+            seen[cell_cfg, seed] = out = original(cell_cfg, seed, **kwargs)
+            return out
+
+        monkeypatch.setattr(experiment, "run_single", recording)
+        _, errors = run_sweep(cfg)
+        assert errors == [] and len(seen) == len(sweep_cells(cfg)) * cfg.runs
+        for (cell_cfg, seed), (report, result, *_) in seen.items():
+            alone_report, alone_result, *_ = original(cell_cfg, seed)
+            assert result.digest() == alone_result.digest()
+            assert report == alone_report
+
+    def test_one_call_per_round_per_group(self, monkeypatch):
+        from fedsim import federation
+
+        cfg = config_from_entries(BENCH_SWEEP)
+        cells = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
+        # 7 clients a round per cell (4 main, 3 trainer), at most 24 a call
+        assert lockstep_groups(cells) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
+        calls = []
+        original = federation._local_train
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_local_train", counting)
+        run_sweep(cfg)
+        # each group: 10 rounds, then its cells' 4-newcomer fine-tunes in one call
+        per_run = ([21] * 10 + [12]) * 3 + [7] * 10 + [4]
+        assert calls == per_run * cfg.runs
+
+    def test_a_cell_wider_than_a_group_trains_alone(self):
+        cfg = config_from_entries(
+            {"preset": "gfl2", "federation.clients": "30", "sweep.algorithm": "fedavg,solo,fedprox,fednova"}
+        )
+        cells = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
+        # 6 clients a round each; solo trains all 30
+        assert lockstep_groups(cells) == [[0], [1], [2, 3]]
+
+    def test_diverging_cell_fails_alone(self, tmp_path):
+        # fedprox at an absurd mu diverges in a call it shares with fedavg
+        text = TINY + "algo.mu = 1e300\n"
+        both = load_config(write_config(tmp_path, text + "sweep.algorithm = fedavg,fedprox\n"))
+        rows, errors = run_sweep(both)
+        assert errors == [
+            f"cell 1 run {r}: main federation round 0: non-finite value in segment w"
+            for r in range(both.runs)
+        ]
+        assert {r.metric for r in rows if r.algorithm == "fedprox"} == {"error"}
+        alone, _ = run_sweep(load_config(write_config(tmp_path, text, name="fedavg.cfg")))
+        assert [r for r in rows if r.algorithm == "fedavg"] == alone
 
 
 # The entries of the benchmark's sweep workload (perfbench/workloads.py)

@@ -13,7 +13,10 @@ from fedsim.federation import (
     FederationConfig,
     ScaffoldState,
     _ClientData,
+    _drive,
     _fine_tune_data,
+    _round_loop,
+    _run,
     fuse_fedavg,
     fuse_fednova,
     participant_count,
@@ -520,6 +523,70 @@ class TestLockStep:
             with pytest.raises(NumericError) as together:
                 run_federation(cfg, model, parts, train, test, newcomer_holdout(seed, 10))
         assert str(together.value) == str(alone.value)
+        # the error names the federation and the round it diverged in
+        assert str(together.value) == "trainer federation round 0: non-finite value in segment w1"
+
+    def test_mixed_loops_in_one_drive_equal_each_alone(self, monkeypatch):
+        # Five algorithms, at E = 1 and E = 2, advance through one `_drive`.
+        # Each round makes one call per epoch count, holding every loop's
+        # clients with that count, and each result equals its loop alone.
+        train, test, parts, _ = small_setup(n_clients=10)
+        model = ModelSpec("mlp", 8, 5, hidden=6, layer_split=2)
+        data = _ClientData(train, parts)
+        cfgs = [
+            config(
+                algorithm, n_clients=10, rounds=4, seed=7 + i, sample_rate=0.3, mu=0.05,
+                local=LocalTrainSpec(epochs=epochs, batch_size=10),
+            )
+            for i, (algorithm, epochs) in enumerate(
+                [("fedprox", 1), ("fednova", 2), ("scaffold", 1), ("decoupled", 2), ("clustered", 1)]
+            )
+        ]
+
+        def loops():
+            return [_round_loop(cfg, model, data, test, 2) for cfg in cfgs]
+
+        alone = [_run(loop).digest() for loop in loops()]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((args[4].epochs, len(args[1])))
+            return _local_train(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_local_train", counting)
+        together = _drive(loops())
+        assert [result.digest() for result in together] == alone
+        assert calls == [(1, 9), (2, 6)] * 4
+
+    def test_merged_divergence_fails_only_its_loop(self, monkeypatch):
+        # fedprox at an absurd mu diverges in the call it shares with
+        # fedavg and scaffold. The round is trained again one call per
+        # loop, so the other two equal their loops alone.
+        train, test, parts, model = small_setup(n_clients=10)
+        data = _ClientData(train, parts)
+        cfgs = [
+            config(algorithm, n_clients=10, rounds=3, sample_rate=0.3, mu=1e300)
+            for algorithm in ("fedavg", "fedprox", "scaffold")
+        ]
+
+        def loops():
+            return [_round_loop(cfg, model, data, test, 2) for cfg in cfgs]
+
+        alone = [_run(loop).digest() for loop in loops()[::2]]
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(len(args[1]))
+            return _local_train(*args, **kwargs)
+
+        monkeypatch.setattr(federation, "_local_train", counting)
+        with np.errstate(all="ignore"):
+            together = _drive(loops())
+        assert [together[0].digest(), together[2].digest()] == alone
+        assert isinstance(together[1], NumericError)
+        assert str(together[1]) == "main federation round 0: non-finite value in segment w"
+        # round 0 merged, then once per loop; later rounds merge the two left
+        assert calls == [9, 3, 3, 3, 6, 6]
 
     def test_solo_with_newcomers_rejected_before_training(self, monkeypatch):
         train, test, parts, model = small_setup(n_clients=10)
