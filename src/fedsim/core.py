@@ -198,11 +198,12 @@ class Rng:
         """`count` successive `permutation(n)` draws.
 
         A fresh stream first buffers, in one refill, the words that
-        `permutation` asks for at first, `count` times over: usually
-        every word the draws read. They read the same words either way.
+        `permutation` asks for at first, `count` times over, up to a
+        block: usually every word the draws read. They read the same
+        words either way.
         """
         if not self._blocks:
-            self._raw(count * (n + n // 2 + 8))
+            self._raw(min(count * (n + n // 2 + 8), self._BLOCK))
             self._pos = 0  # hand every word back, unread
         return [self.permutation(n) for _ in range(count)]
 

@@ -354,7 +354,8 @@ class _Job(NamedTuple):
     """One stacked `_local_train` call's worth of clients and its settings.
 
     `label` names the job in the NumericError of a diverging client,
-    for example "trainer federation round 3".
+    for example "trainer federation round 3". `rngs` are fresh
+    substreams, which the job's call is the first to draw from.
     """
 
     label: str
@@ -437,18 +438,12 @@ def _train_tasks(tasks, jobs: dict[int, list[_Job]], outcomes) -> dict[int, list
     If that raises NumericError with more than one task in the step, each
     task's jobs are trained again on their own: a client's result does
     not depend on its stack, so the other tasks go on bit-identical to
-    being driven alone, and only a task that diverges alone fails.
+    being driven alone, and only a task that diverges alone fails. A
+    job's Rngs are fresh substreams, so the retry rebuilds them from
+    their keys and reads the words the failed call read.
     """
-    merged = jobs
-    if len(jobs) > 1:
-        # the merged attempt draws from copies of the Rngs, so that a
-        # retry reads the same streams
-        merged = {
-            i: [job._replace(rngs=[copy.copy(rng) for rng in job.rngs]) for job in task_jobs]
-            for i, task_jobs in jobs.items()
-        }
     try:
-        return _train_jobs(merged)
+        return _train_jobs(jobs)
     except NumericError as exc:
         if len(jobs) == 1:
             (i,) = jobs
@@ -457,8 +452,12 @@ def _train_tasks(tasks, jobs: dict[int, list[_Job]], outcomes) -> dict[int, list
             return {}
     replies = {}
     for i, task_jobs in jobs.items():
+        fresh = [
+            job._replace(rngs=[Rng(rng.seed, rng.stream) for rng in job.rngs])
+            for job in task_jobs
+        ]
         try:
-            replies.update(_train_jobs({i: task_jobs}))
+            replies.update(_train_jobs({i: fresh}))
         except NumericError as exc:
             outcomes[i] = exc
             tasks[i].close()

@@ -302,7 +302,8 @@ def _add_prox(
     mu * (theta_i - anchor), with its own anchor and mu from `anchor`
     and `mus`, which hold one entry per selected row."""
     diff = theta[rows] - anchor
-    losses[rows] += 0.5 * mus * np.array([d @ d for d in diff])
+    # each (1, P) @ (P, 1) slice is the BLAS dot product `d @ d` makes
+    losses[rows] += 0.5 * mus * np.matmul(diff[:, None, :], diff[:, :, None])[:, 0, 0]
     grad[rows] += mus[:, None] * diff
 
 

@@ -64,6 +64,10 @@ class TestRng:
         assert len(rng._buf) < Rng._BLOCK // 4
         rng.uniform(Rng._BLOCK)
         assert len(rng._buf) >= Rng._BLOCK
+        # a long first request buffers no more than a block
+        long = Rng(5).substream("client", 1, 0)
+        long.permutations(100, 20)
+        assert len(long._buf) <= Rng._BLOCK
 
     def test_substream_reproducible(self):
         a = Rng(7).substream("client", 3, 9).uniform(16)
