@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -194,8 +195,9 @@ class Rng:
             self._pos -= len(words) - used
         return np.array(arr, dtype=np.int64)
 
-    def permutations(self, n: int, count: int) -> list[np.ndarray]:
-        """`count` successive `permutation(n)` draws.
+    def permutations(self, n: int, count: int) -> Iterator[np.ndarray]:
+        """`count` successive `permutation(n)` draws, each made when the
+        caller takes it.
 
         A fresh stream first buffers, in one refill, the words that
         `permutation` asks for at first, `count` times over, up to a
@@ -205,7 +207,8 @@ class Rng:
         if not self._blocks:
             self._raw(min(count * (n + n // 2 + 8), self._BLOCK))
             self._pos = 0  # hand every word back, unread
-        return [self.permutation(n) for _ in range(count)]
+        for _ in range(count):
+            yield self.permutation(n)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct values from range(n), sorted ascending."""
