@@ -14,15 +14,7 @@ class IncompatibleShape(FedsimError, ValueError):
 
 
 class NumericError(FedsimError, ArithmeticError):
-    """A numeric operation produced NaN or Inf.
-
-    `client` is the position, in a stacked training call's input, of the
-    client whose values did, when one is known.
-    """
-
-    def __init__(self, message: str, client: int | None = None):
-        super().__init__(message)
-        self.client = client
+    """A numeric operation produced NaN or Inf."""
 
 
 class PartitionError(FedsimError, RuntimeError):

@@ -37,6 +37,7 @@ from .federation import (  # noqa: F401
     run_federation,
 )
 from .metrics import (  # noqa: F401
+    NEWCOMER_FRACTION,
     MetricReport,
     _newcomer_task,
     compute_report,
@@ -410,13 +411,11 @@ def _check_recommended(cfg: ExperimentConfig) -> None:
 
 
 def _validate_sweep_axes(cfg: ExperimentConfig) -> None:
-    for axis, values in cfg.sweep_axes:
+    for axis, _ in cfg.sweep_axes:
         if axis == "alpha" and cfg.partition_kind not in ("label-dir", "quantity-dir"):
             raise ConfigError("sweep.alpha requires a Dirichlet partition kind")
         if axis == "p" and cfg.partition_kind != "label-skew":
             raise ConfigError("sweep.p requires partition.kind = label-skew")
-        if axis in ("alpha", "p") and any(v <= 0 for v in values):
-            raise ConfigError(f"sweep.{axis} values must be > 0")
 
 
 def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> ExperimentConfig:
@@ -555,10 +554,10 @@ def _cell_task(cfg: ExperimentConfig, seed: int, inputs: dict) -> Task:
     newcomer_accuracy = None
     if cfg.newcomer:
         result, newcomer_accuracy = yield from _newcomer_task(
-            fed, model_spec, partitions, train, test, data
+            fed, model_spec, partitions, data, test
         )
     else:
-        result = yield from _federation_task(fed, model_spec, partitions, train, test, data=data)
+        result = yield from _federation_task(fed, model_spec, partitions, data, test)
     report = compute_report(result, fed, model_spec, partitions, test)
     report = dataclasses.replace(report, newcomer_accuracy=newcomer_accuracy)
     return report, result, partitions, model_spec, (train, test)
@@ -894,6 +893,15 @@ def manifest_text(
             f"hyperparameters: mu={cfg.mu}, ft_epochs={cfg.ft_epochs}, n_clusters={cfg.n_clusters}",
             f"config_digest: {cfg.digest()}",
         ]
+        if cfg.newcomer:
+            lines.append(
+                f"newcomer_protocol: floor({NEWCOMER_FRACTION}*N) clients are held out by seed; "
+                "a trainer federation trains the other clients in lock-step with the main "
+                "federation, which trains all N clients, so gfl, pfl and fairness do not depend "
+                f"on newcomer; each newcomer fine-tunes for ft_epochs={cfg.ft_epochs} epochs from "
+                "the trainer's model (clustered: its lowest-loss cluster) and is scored on its "
+                "entire local test set"
+            )
         if cfg.sweep_axes:
             axes = "; ".join(f"{a}={list(v)}" for a, v in cfg.sweep_axes)
             lines.append(f"sweep_axes: {axes}")

@@ -31,15 +31,18 @@ call, each job's FedProx weight and SCAFFOLD offsets going to its own
 clients only. `run_federation` drives the main federation, and with
 newcomers the trainer federation in lock-step with it; a sweep drives
 the cells of a run seed that way, group by group
-(`experiment.lockstep_groups`). When a merged call diverges, the step
-is trained again one call per task, so only the diverging task fails,
-with an error naming its federation and round.
+(`experiment.lockstep_groups`). A client that diverges in a merged
+call is recorded and the call goes on, so the task that owns it fails,
+with an error naming its federation and round, and every other task
+keeps its reply from that same call.
 """
 
 from __future__ import annotations
 
+import bisect
 import copy
 import hashlib
+import itertools
 import math
 import struct
 from dataclasses import dataclass, replace
@@ -106,8 +109,6 @@ class FederationConfig:
             raise InvalidArgument("mu and ft_epochs must be >= 0")
         if self.n_clusters < 1:
             raise InvalidArgument("n_clusters must be >= 1")
-        if self.local.prox_mu != 0.0:
-            raise InvalidArgument("local.prox_mu must be 0; fedprox's proximal term is set by mu")
 
 
 @dataclass(frozen=True)
@@ -325,19 +326,18 @@ def run_federation(
     stack, each result is bit-identical to training that federation
     alone. Within a round the main federation's own work runs first.
     """
-    return _run(_federation_task(config, model_spec, partitions, train, test, newcomers))
+    data = _ClientData(train, partitions)
+    return _run(_federation_task(config, model_spec, partitions, data, test, newcomers))
 
 
 def _federation_task(
-    config, model_spec, partitions, train, test, newcomers=None, data: _ClientData | None = None
+    config, model_spec, partitions, data: _ClientData, test, newcomers=None
 ) -> Task:
-    """`run_federation` as a task; `data`, when given, holds the rows of
-    `partitions` in `train`."""
+    """`run_federation` as a task; `data` holds the train rows of `partitions`."""
     if len(partitions) != config.n_clients:
         raise InvalidArgument(
             f"config declares {config.n_clients} clients, got {len(partitions)} partitions"
         )
-    data = _ClientData(train, partitions) if data is None else data
     # the main federation evaluates the window gfl_metric averages; the
     # trainer's accuracies feed no metric, so it evaluates no round
     window = participant_count(config.n_clients, config.sample_rate)
@@ -354,14 +354,15 @@ class _Job(NamedTuple):
     """One stacked `_local_train` call's worth of clients and its settings.
 
     `label` names the job in the NumericError of a diverging client,
-    for example "trainer federation round 3". `rngs` are fresh
-    substreams, which the job's call is the first to draw from.
+    for example "trainer federation round 3". `prox_mu` is the FedProx
+    weight of each of its clients, 0 for none.
     """
 
     label: str
     model_spec: ModelSpec
     spec: LocalTrainSpec
     opt: OptState
+    prox_mu: float
     starts: list[np.ndarray]
     features: list[np.ndarray]
     labels: list[np.ndarray]
@@ -404,15 +405,21 @@ def _lockstep(tasks: list[Task]) -> Task:
 
 def _drive(tasks: list[Task]) -> list:
     """Advance every task one step at a time until each returns; each
-    step's jobs train together (`_train_tasks`). Returns each task's
+    step's jobs train together (`_train_jobs`). Returns each task's
     result, or the FedsimError it raised: a failed task is dropped and
-    the others go on."""
+    the others go on. A task with a diverging client is closed with its
+    error; a client's result does not depend on its stack, so the others
+    go on bit-identical to being driven alone."""
     outcomes: list = [None] * len(tasks)
     replies: dict[int, list[Reply] | None] = dict.fromkeys(range(len(tasks)))
     while replies:
         jobs = _next_jobs(tasks, replies, outcomes, FedsimError)
-        replies = _train_tasks(tasks, jobs, outcomes)
+        replies, failed = _train_jobs(jobs)
         del jobs
+        for i, exc in failed.items():
+            outcomes[i] = exc
+            tasks[i].close()
+            del replies[i]
     return outcomes
 
 
@@ -432,98 +439,69 @@ def _next_jobs(tasks, replies, outcomes, caught) -> dict[int, list[_Job]]:
     return jobs
 
 
-def _train_tasks(tasks, jobs: dict[int, list[_Job]], outcomes) -> dict[int, list[Reply]]:
-    """Train one step's jobs of every task together (`_train_jobs`).
-
-    If that raises NumericError with more than one task in the step, each
-    task's jobs are trained again on their own: a client's result does
-    not depend on its stack, so the other tasks go on bit-identical to
-    being driven alone, and only a task that diverges alone fails. A
-    job's Rngs are fresh substreams, so the retry rebuilds them from
-    their keys and reads the words the failed call read.
-    """
-    try:
-        return _train_jobs(jobs)
-    except NumericError as exc:
-        if len(jobs) == 1:
-            (i,) = jobs
-            outcomes[i] = exc
-            tasks[i].close()
-            return {}
-    replies = {}
-    for i, task_jobs in jobs.items():
-        fresh = [
-            job._replace(rngs=[Rng(rng.seed, rng.stream) for rng in job.rngs])
-            for job in task_jobs
-        ]
-        try:
-            replies.update(_train_jobs({i: fresh}))
-        except NumericError as exc:
-            outcomes[i] = exc
-            tasks[i].close()
-    return replies
-
-
-def _train_jobs(jobs: dict[int, list[_Job]]) -> dict[int, list[Reply]]:
+def _train_jobs(
+    jobs: dict[int, list[_Job]],
+) -> tuple[dict[int, list[Reply]], dict[int, NumericError]]:
     """Train the jobs of each task, one `_local_train` call for the jobs
     that share its shared settings (model, epochs, batch size, lr and
     momentum), in the order each setting first appears, and split the
-    rows and stats back per job."""
+    rows and stats back per job. Also returns each task's first error:
+    its first diverging client's, in call order."""
     calls: dict[tuple, list[tuple[int, int]]] = {}
     for i, task_jobs in jobs.items():
         for p, job in enumerate(task_jobs):
-            key = (job.model_spec, job.spec.epochs, job.spec.batch_size, job.opt)
-            calls.setdefault(key, []).append((i, p))
+            calls.setdefault((job.model_spec, job.spec, job.opt), []).append((i, p))
     replies = {i: [None] * len(task_jobs) for i, task_jobs in jobs.items()}
+    failed: dict[int, NumericError] = {}
     for members in calls.values():
-        trained = _train_call([jobs[i][p] for i, p in members])
+        trained, errors = _train_call([jobs[i][p] for i, p in members])
         for (i, p), reply in zip(members, trained):
             replies[i][p] = reply
-    return replies
+        for j, exc in errors.items():
+            failed.setdefault(members[j][0], exc)
+    return replies, failed
 
 
-def _train_call(batch: list[_Job]) -> list[Reply]:
+def _train_call(batch: list[_Job]) -> tuple[list[Reply], dict[int, NumericError]]:
     """One `_local_train` call over the clients of `batch`, in job order.
 
-    Each job's FedProx weight and offsets go to its own clients only. A
-    NumericError is raised again prefixed by the label of the job that
-    holds the diverging client. The jobs hold the round's Rngs and
-    offsets, and are dropped on return, before the tasks fuse and
-    evaluate.
+    Each job's FedProx weight and offsets go to its own clients only.
+    Returns each job's reply, and by job index the first error of each
+    job with a diverging client, prefixed by its label, in the order the
+    kernel found them. The jobs hold the round's Rngs and offsets, and
+    are dropped on return, before the tasks fuse and evaluate.
     """
     first = batch[0]
     offsets = None
     if any(job.grad_offsets is not None for job in batch):
         offsets = [o for job in batch for o in job.grad_offsets or [None] * len(job.starts)]
-    try:
-        trained, stats = _local_train(
-            first.model_spec,
-            [theta for job in batch for theta in job.starts],
-            [x for job in batch for x in job.features],
-            [y for job in batch for y in job.labels],
-            first.spec,
-            first.opt,
-            [rng for job in batch for rng in job.rngs],
-            offsets,
-            [job.spec.prox_mu for job in batch for _ in job.starts],
-        )
-    except NumericError as exc:
-        lo = 0
-        for job in batch:
-            if exc.client is not None and exc.client < lo + len(job.starts):
-                raise NumericError(f"{job.label}: {exc}") from exc
-            lo += len(job.starts)
-        raise
+    failures: dict[int, NumericError] = {}
+    trained, stats = _local_train(
+        first.model_spec,
+        [theta for job in batch for theta in job.starts],
+        [x for job in batch for x in job.features],
+        [y for job in batch for y in job.labels],
+        first.spec,
+        first.opt,
+        [rng for job in batch for rng in job.rngs],
+        offsets,
+        [job.prox_mu for job in batch for _ in job.starts],
+        failures,
+    )
+    ends = list(itertools.accumulate(len(job.starts) for job in batch))
+    errors: dict[int, NumericError] = {}
+    for k, exc in failures.items():
+        j = bisect.bisect_right(ends, k)
+        errors.setdefault(j, NumericError(f"{batch[j].label}: {exc}"))
     replies, lo = [], 0
-    for job in batch:
-        hi = lo + len(job.starts)
+    for job, hi in zip(batch, ends):
         steps = stats.client_steps[lo:hi]
         # a view would keep the whole stack alive until every job sharing
         # it has dropped its rows
         rows = trained if len(batch) == 1 else trained[lo:hi].copy()
         replies.append((rows, LocalStats(sum(steps), steps, stats.mean_losses[lo:hi])))
         lo = hi
-    return replies
+    return replies, errors
 
 
 def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndarray:
@@ -603,7 +581,7 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
     # heads are replaced, never written into, so the initial ones share one copy
     heads = dict.fromkeys(range(n), pool[0][boundary:].copy()) if algo == "decoupled" else None
     scaffold = ScaffoldState.initial(len(pool[0]), range(n)) if algo == "scaffold" else None
-    train_spec = replace(config.local, prox_mu=config.mu if algo == "fedprox" else 0.0)
+    prox_mu = config.mu if algo == "fedprox" else 0.0
     opt = OptState(config.lr, config.momentum)
     test_idx = range(test.n_samples)
     logs: list[RoundLog] = []
@@ -621,8 +599,9 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
         [(trained, stats)] = yield [_Job(
             label,
             model_spec,
-            train_spec,
+            config.local,
             opt,
+            prox_mu,
             starts,
             [data.features[k] for k in selected],
             [data.labels[k] for k in selected],

@@ -163,18 +163,15 @@ def newcomer_protocol(
     the main federation's result and the newcomers' mean accuracy. Solo
     has no shared model to hand over and is rejected.
     """
-    return _run(_newcomer_task(config, model_spec, partitions, train, test))
+    data = _ClientData(train, partitions)
+    return _run(_newcomer_task(config, model_spec, partitions, data, test))
 
 
-def _newcomer_task(
-    config, model_spec, partitions, train, test, data: _ClientData | None = None
-) -> Task:
-    """`newcomer_protocol` as a task; `data`, when given, holds the rows
-    of `partitions` in `train`."""
+def _newcomer_task(config, model_spec, partitions, data: _ClientData, test) -> Task:
+    """`newcomer_protocol` as a task; `data` holds the train rows of `partitions`."""
     newcomers = newcomer_holdout(config.seed, config.n_clients)
-    data = _ClientData(train, partitions) if data is None else data
     result, trainer = yield from _federation_task(
-        config, model_spec, partitions, train, test, newcomers, data
+        config, model_spec, partitions, data, test, newcomers
     )
     position = {p.client_id: i for i, p in enumerate(partitions)}
     xs = [data.features[position[cid]] for cid in newcomers]
@@ -191,6 +188,7 @@ def _newcomer_task(
         model_spec,
         LocalTrainSpec(epochs=config.ft_epochs, batch_size=config.local.batch_size),
         OptState(config.lr, config.momentum),
+        0.0,
         starts, xs, ys,
         [root.substream("newcomer-ft", cid) for cid in newcomers],
     )]

@@ -74,15 +74,15 @@ class ModelSpec:
             return self.n_params()
         return self._view_plan[-self.layer_split][1]
 
-    def check_finite(self, theta: np.ndarray, client: int | None = None) -> None:
+    def check_finite(self, theta: np.ndarray) -> None:
         """Raise NumericError naming the first segment of `theta` with a NaN
-        or Inf; the error carries `client`."""
+        or Inf."""
         if not np.isfinite(theta).all():
             name = next(
                 name for name, start, stop, _ in self._view_plan
                 if not np.isfinite(theta[start:stop]).all()
             )
-            raise NumericError(f"non-finite value in segment {name}", client)
+            raise NumericError(f"non-finite value in segment {name}")
 
 
 @dataclass(frozen=True)
@@ -103,15 +103,12 @@ class OptState:
 class LocalTrainSpec:
     epochs: int
     batch_size: int
-    prox_mu: float = 0.0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise InvalidArgument("epochs must be >= 0")
         if self.batch_size < 1:
             raise InvalidArgument("batch_size must be >= 1")
-        if self.prox_mu < 0.0:
-            raise InvalidArgument("prox_mu must be >= 0")
 
 
 def init_params(spec: ModelSpec, rng: Rng) -> np.ndarray:
@@ -313,24 +310,30 @@ def _check_step(
     grad: np.ndarray,
     theta: np.ndarray,
     clients: list[int] | None = None,
+    failures: dict[int, NumericError] | None = None,
 ) -> None:
-    """Raise NumericError for the first client of a stack with a non-finite
-    loss or gradient, naming its first bad parameter segment, else its
+    """Find each client of a stack with a non-finite loss or gradient, in
+    stack order, and name its first bad parameter segment, else its
     first bad gradient segment. A non-finite parameter spreads into every
     gradient segment through the backward pass, so the parameters are
-    checked first. The error carries `clients[i]` for stack row i, when
-    `clients` is given. Callers silence numpy's floating-point warnings."""
+    checked first. With `failures` None the first such client's
+    NumericError is raised. Otherwise it is recorded there under
+    `clients[i]` for stack row i (under i when `clients` is None),
+    unless that client already has one. Callers silence numpy's
+    floating-point warnings."""
     # a finite sum proves every entry finite; a sum of finite entries that
     # overflows goes on to the exact test below, which passes it
     if math.isfinite(np.add.reduce(grad, axis=None) + np.add.reduce(losses)):
         return
-    if np.isfinite(grad).all() and np.isfinite(losses).all():
-        return
-    i = int(np.argmin(np.isfinite(grad).all(axis=1) & np.isfinite(losses)))
-    client = None if clients is None else clients[i]
-    spec.check_finite(theta[i], client)
-    spec.check_finite(grad[i], client)
-    raise NumericError("non-finite loss", client)
+    for i in np.flatnonzero(~(np.isfinite(grad).all(axis=1) & np.isfinite(losses))).tolist():
+        try:
+            spec.check_finite(theta[i])
+            spec.check_finite(grad[i])
+            raise NumericError("non-finite loss")
+        except NumericError as error:
+            if failures is None:
+                raise
+            failures.setdefault(i if clients is None else clients[i], error)
 
 
 def _leading_rows(rows: list[int], active: int) -> tuple[int, slice | np.ndarray]:
@@ -360,6 +363,7 @@ def _local_train(
     rngs: list[Rng],
     grad_offsets: list[np.ndarray | None] | None = None,
     prox_mus: list[float] | None = None,
+    failures: dict[int, NumericError] | None = None,
 ) -> tuple[np.ndarray, LocalStats]:
     """Train m clients, each from its own start, by E epochs of batched SGD with momentum.
 
@@ -367,10 +371,10 @@ def _local_train(
     Each of its epochs draws a shuffle from `rngs[k]` and splits it into
     batches of `batch_size`; the short remainder batch is kept. Its loss
     carries FedProx's proximal pull toward its start with weight
-    `prox_mus[k]` when that list is given, else `train.prox_mu`; a
-    weight of 0 adds none. `grad_offsets[k]`, when the list is given and
-    the entry is not None, is added to each of its batch gradients (the
-    control-variate correction hook). Velocity starts at zero. Returns
+    `prox_mus[k]` when that list is given; a weight of 0 adds none.
+    `grad_offsets[k]`, when the list is given and the entry is not None,
+    is added to each of its batch gradients (the control-variate
+    correction hook). Velocity starts at zero. Returns
     the (m, P) trained parameters in input order and the call's stats;
     E=0 returns copies of the starts. Epochs, batch size, learning rate
     and momentum are shared by every client of the call.
@@ -395,8 +399,11 @@ def _local_train(
     the step on the r rows alone to rounding, not bit for bit. A
     client's result is bit-identical to training it alone, whatever the
     other clients or their order. A non-finite loss, gradient or result
-    raises NumericError naming the first bad segment and carrying the
-    bad client's input position.
+    raises NumericError naming the first bad segment (`_check_step`).
+    With the internal `failures` dict, the call instead completes and
+    records there each diverging client's first error by input position,
+    in the order found, the one it raises trained alone: every reduction
+    stays within one client, so its NaN reaches no other.
 
     The proximal term and the offsets go only to the stack rows of the
     clients that have them, by row index, or by a slice when those are
@@ -416,7 +423,7 @@ def _local_train(
     theta = np.array([starts[k] for k in order], dtype=np.float64)
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
-    mus = [train.prox_mu] * m if prox_mus is None else prox_mus
+    mus = prox_mus or [0.0] * m
     # ascending stack rows of the clients with a proximal term or an offset
     prox_rows = [i for i, k in enumerate(order) if mus[k] > 0.0]
     anchor = theta[prox_rows]
@@ -475,7 +482,7 @@ def _local_train(
             step_loss = _loss_grad_into(spec, views, g_a, grad_views, x, true_class, counts)
             if n_prox:
                 _add_prox(t_a, g_a, step_loss, prox_a, anchor[:n_prox], prox_weights[:n_prox])
-            _check_step(spec, step_loss, g_a, t_a, order)
+            _check_step(spec, step_loss, g_a, t_a, order, failures)
             if n_off:
                 g_a[off_a] += offsets[:n_off]
             v_a *= momentum
@@ -484,10 +491,10 @@ def _local_train(
             np.multiply(v_a, lr, out=g_a)
             t_a -= g_a
             l_a += step_loss
-    position = sorted(range(m), key=order.__getitem__)  # stack row of each input
-    out = theta[position]
-    for k, row in enumerate(out):
-        spec.check_finite(row, k)
+        position = sorted(range(m), key=order.__getitem__)  # stack row of each input
+        out = theta[position]
+        # a non-finite result, checked in input order, is named by its first bad segment
+        _check_step(spec, np.zeros(m), out, out, None, failures)
     # 0.0 rather than NaN for the no-step case keeps logs comparable
     mean_losses = tuple(float(loss_sum[i]) / steps[i] if steps[i] else 0.0 for i in position)
     return out, LocalStats(sum(steps), tuple(steps[i] for i in position), mean_losses)

@@ -53,6 +53,13 @@ class PartitionSpec:
                 raise InvalidArgument(f"{self.kind} partition requires {name}")
             if name not in required and value is not None:
                 raise InvalidArgument(f"{self.kind} partition does not take {name}")
+        # so a config fails at load; the partition functions keep theirs for direct callers
+        if self.p is not None and not 0.0 < self.p <= 1.0:
+            raise InvalidArgument(f"p must be in (0, 1], got {self.p}")
+        if self.alpha is not None and self.alpha <= 0.0:
+            raise InvalidArgument(f"alpha must be > 0, got {self.alpha}")
+        if self.shards_per_client is not None and self.shards_per_client < 1:
+            raise InvalidArgument("shards_per_client must be >= 1")
 
     @property
     def level(self) -> float | None:

@@ -98,7 +98,7 @@ class TestPartitionCommand:
             ("sweep.alpha = 0.1,1.0\n", "sweep.alpha"),
             ("sweep.N = 5,6\nsweep.E = 1,2\n", "sweep.N"),
             ("sweep.alpha = 0.1,1.0\nsweep.N = 5,6\n", "sweep.alpha, sweep.N"),
-            ("partition.kind = label-skew\npartition.p = 2\nsweep.p = 1,2\n", "sweep.p"),
+            ("partition.kind = label-skew\npartition.p = 0.5\nsweep.p = 0.5,1\n", "sweep.p"),
         ],
     )
     def test_sweep_over_partition_axes_is_config_error(self, lines, named, tmp_path, capsys):
@@ -278,6 +278,24 @@ class TestExitCodes:
         cfg.write_text(TINY + f"{key} = {value}\n")
         assert main(["run", str(cfg)]) == 2
         assert not (tmp_path / "run-out").exists()
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "partition.alpha = -1\n",
+            "sweep.alpha = -1\n",
+            "partition.kind = label-skew\npartition.p = 1.5\n",
+            "partition.kind = label-skew\npartition.p = 0.5\nsweep.p = 0.5,1.5\n",
+            "partition.kind = random-shard\npartition.shards_per_client = 0\n",
+        ],
+    )
+    def test_out_of_range_partition_level_is_config_error(self, lines, tmp_path, monkeypatch):
+        # rejected when the config loads, not as an error row of every run
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY + lines)
+        assert main(["sweep", str(cfg)]) == 2
+        assert not (tmp_path / "sweep-out").exists()
 
     @pytest.mark.parametrize("command", ["run", "partition", "sweep"])
     def test_workers_flag_rejected(self, command, cfg_path):

@@ -434,6 +434,31 @@ class TestEmitReport:
         ):
             assert needle in text, needle
 
+    @pytest.mark.parametrize("newcomer", [False, True])
+    def test_manifest_defines_newcomer_protocol_only_with_newcomers(self, newcomer):
+        cfg = config_from_entries(
+            {
+                "dataset": "synthetic",
+                "partition.kind": "iid",
+                "federation.clients": "5",
+                "federation.rounds": "3",
+                "algo.ft_epochs": "7",
+                "newcomer": str(newcomer).lower(),
+            }
+        )
+        lines = [
+            line for line in manifest_text(self._rows(), cfg).splitlines()
+            if line.startswith("newcomer_protocol: ")
+        ]
+        assert len(lines) == newcomer
+        if newcomer:
+            for needle in (
+                "floor(0.2*N) clients are held out by seed", "in lock-step",
+                "trains all N clients", "do not depend on newcomer", "ft_epochs=7",
+                "the trainer's model", "entire local test set",
+            ):
+                assert needle in lines[0], needle
+
     def test_manifest_flags_too_few_runs(self):
         cfg = config_from_entries(
             {

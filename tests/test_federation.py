@@ -25,7 +25,12 @@ from fedsim.federation import (
     scaffold_client_variate,
     tau_effective,
 )
-from fedsim.metrics import local_test_accuracies, newcomer_holdout, pfl_metric
+from fedsim.metrics import (
+    local_test_accuracies,
+    newcomer_holdout,
+    newcomer_protocol,
+    pfl_metric,
+)
 from fedsim.model import (
     LocalTrainSpec,
     ModelSpec,
@@ -376,14 +381,9 @@ class TestRunFederation:
         cfg = config("fedavg", n_clients=9)
         with pytest.raises(InvalidArgument):
             run_federation(cfg, model, parts, train, test)
-
-    @pytest.mark.parametrize("algorithm", ["fedavg", "clustered", "solo"])
-    def test_local_prox_mu_is_rejected(self, algorithm):
-        # mu is the one proximal knob; a second one in the train spec
-        # would reach the clients of some algorithms and not others
-        local = LocalTrainSpec(epochs=2, batch_size=10, prox_mu=0.01)
-        with pytest.raises(InvalidArgument, match="mu"):
-            config(algorithm, local=local)
+        # the newcomer protocol, the other public way in, checks it too
+        with pytest.raises(InvalidArgument, match="declares 9 clients, got 8 partitions"):
+            newcomer_protocol(cfg, model, parts, train, test)
 
     def test_same_seed_same_digest(self):
         train, test, parts, model = small_setup()
@@ -560,8 +560,8 @@ class TestLockStep:
 
     def test_merged_divergence_fails_only_its_loop(self, monkeypatch):
         # fedprox at an absurd mu diverges in the call it shares with
-        # fedavg and scaffold. The round is trained again one call per
-        # loop, so the other two equal their loops alone.
+        # fedavg and scaffold. The call goes on without it, so the other
+        # two equal their loops alone.
         train, test, parts, model = small_setup(n_clients=10)
         data = _ClientData(train, parts)
         cfgs = [
@@ -585,8 +585,8 @@ class TestLockStep:
         assert [together[0].digest(), together[2].digest()] == alone
         assert isinstance(together[1], NumericError)
         assert str(together[1]) == "main federation round 0: non-finite value in segment w"
-        # round 0 merged, then once per loop; later rounds merge the two left
-        assert calls == [9, 3, 3, 3, 6, 6]
+        # round 0 merged, with no second pass; later rounds merge the two left
+        assert calls == [9, 6, 6]
 
     def test_solo_with_newcomers_rejected_before_training(self, monkeypatch):
         train, test, parts, model = small_setup(n_clients=10)

@@ -47,10 +47,12 @@ def finite_difference_grad(spec, theta, batch, anchor, prox_mu, h=1e-5):
     return grad
 
 
-def train_one(spec, params, x, y, local, opt, rng, grad_offset=None):
+def train_one(spec, params, x, y, local, opt, rng, grad_offset=None, prox_mu=0.0):
     """(parameters, steps, mean loss) of one client trained alone by the kernel."""
     offsets = None if grad_offset is None else [grad_offset]
-    out, stats = _local_train(spec, [params], [x], [y], local, opt, [rng], offsets)
+    out, stats = _local_train(
+        spec, [params], [x], [y], local, opt, [rng], offsets, prox_mus=[prox_mu]
+    )
     assert out.shape == (1, len(params)) and stats.steps == stats.client_steps[0]
     return out[0], stats.client_steps[0], stats.mean_losses[0]
 
@@ -116,13 +118,13 @@ def padded_reference_loss_grad(spec, theta, x, y, anchor, prox_mu, batch):
     return reference_loss_grad(spec, theta, x_pad, y_pad, anchor, prox_mu, rows=r)
 
 
-def reference_train(spec, params, x, y, local, opt, rng, offset, padded):
+def reference_train(spec, params, x, y, local, opt, rng, offset, padded, prox_mu=0.0):
     """(parameters, mean loss) of a plain loop of momentum SGD over the
     reference loss, with fresh arrays and out-of-place momentum; each
     batch zero-padded to `batch_size` rows when `padded`."""
     theta = params.copy()
     vel = np.zeros_like(theta)
-    anchor = params if local.prox_mu > 0.0 else None
+    anchor = params if prox_mu > 0.0 else None
     losses = []
     for _ in range(local.epochs):
         order = rng.permutation(len(y))
@@ -130,10 +132,10 @@ def reference_train(spec, params, x, y, local, opt, rng, offset, padded):
             idx = order[start : start + local.batch_size]
             if padded:
                 loss, grad = padded_reference_loss_grad(
-                    spec, theta, x[idx], y[idx], anchor, local.prox_mu, local.batch_size
+                    spec, theta, x[idx], y[idx], anchor, prox_mu, local.batch_size
                 )
             else:
-                loss, grad = reference_loss_grad(spec, theta, x[idx], y[idx], anchor, local.prox_mu)
+                loss, grad = reference_loss_grad(spec, theta, x[idx], y[idx], anchor, prox_mu)
             grad = grad + offset
             vel = opt.momentum * vel + grad
             theta -= opt.lr * vel
@@ -413,14 +415,18 @@ class TestClientUpdate:
         x, y = self._data(n=n, spec=spec)
         params = init_params(spec, Rng(25))
         offset = Rng(26).uniform(len(params)) * 0.01
-        local, opt = LocalTrainSpec(3, batch, prox_mu), OptState(0.05, 0.9)
-        out, steps, mean_loss = train_one(spec, params, x, y, local, opt, Rng(4), offset)
+        local, opt = LocalTrainSpec(3, batch), OptState(0.05, 0.9)
+        out, steps, mean_loss = train_one(spec, params, x, y, local, opt, Rng(4), offset, prox_mu)
         assert steps == 3 * -(-n // batch)
 
-        theta, loss = reference_train(spec, params, x, y, local, opt, Rng(4), offset, padded=True)
+        theta, loss = reference_train(
+            spec, params, x, y, local, opt, Rng(4), offset, padded=True, prox_mu=prox_mu
+        )
         assert np.array_equal(out, theta)
         assert mean_loss == loss
-        theta, loss = reference_train(spec, params, x, y, local, opt, Rng(4), offset, padded=False)
+        theta, loss = reference_train(
+            spec, params, x, y, local, opt, Rng(4), offset, padded=False, prox_mu=prox_mu
+        )
         np.testing.assert_allclose(out, theta, rtol=1e-12, atol=0.0)
         assert mean_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
 
@@ -476,30 +482,33 @@ class TestStacking:
         return spec, data, starts, offsets
 
     @staticmethod
-    def _stacked(spec, data, starts, offsets, local, opt, seed, order):
+    def _stacked(spec, data, starts, offsets, local, opt, seed, order, prox_mu):
         """One call over the clients in `order`, each on its own stream."""
         return _local_train(
             spec, [starts[k] for k in order], [data[k][0] for k in order],
             [data[k][1] for k in order], local, opt, [Rng(seed, 300 + k) for k in order],
             None if offsets is None else [offsets[k] for k in order],
+            prox_mus=[prox_mu] * len(order),
         )
 
     def _check(self, sizes, kind, n_classes, prox_mu, with_offsets, seed, epochs=2):
         spec, data, starts, offsets = self._clients(sizes, kind, n_classes, with_offsets, seed)
-        local, opt = LocalTrainSpec(epochs, 10, prox_mu), OptState(0.05, 0.9)
+        local, opt = LocalTrainSpec(epochs, 10), OptState(0.05, 0.9)
         m = len(sizes)
-        out, stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m))
+        out, stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m), prox_mu)
         assert out.shape == (m, spec.n_params())
         for k in range(m):
             alone, steps, mean_loss = train_one(
                 spec, starts[k], *data[k], local, opt, Rng(seed, 300 + k),
-                None if offsets is None else offsets[k],
+                None if offsets is None else offsets[k], prox_mu,
             )
             assert np.array_equal(out[k], alone), f"client {k} (n={sizes[k]})"
             assert (stats.client_steps[k], stats.mean_losses[k]) == (steps, mean_loss)
         assert stats.steps == sum(stats.client_steps)
         # reversing the input order only reverses the output rows
-        rev, rev_stats = self._stacked(spec, data, starts, offsets, local, opt, seed, range(m)[::-1])
+        rev, rev_stats = self._stacked(
+            spec, data, starts, offsets, local, opt, seed, range(m)[::-1], prox_mu
+        )
         assert np.array_equal(rev, out[::-1])
         assert rev_stats.client_steps == stats.client_steps[::-1]
         assert rev_stats.mean_losses == stats.mean_losses[::-1]
@@ -551,22 +560,61 @@ class TestStacking:
         )
         for k, mu in enumerate(mus):
             alone, steps, mean_loss = train_one(
-                spec, starts[k], *data[k], LocalTrainSpec(epochs, 10, mu), opt,
-                Rng(seed, 300 + k), offsets[k],
+                spec, starts[k], *data[k], LocalTrainSpec(epochs, 10), opt,
+                Rng(seed, 300 + k), offsets[k], mu,
             )
             assert np.array_equal(out[k], alone), f"client {k}"
             assert (stats.client_steps[k], stats.mean_losses[k]) == (steps, mean_loss)
 
     def test_diverging_client_is_named_by_input_position(self):
-        # the stack trains the longest schedule first, yet the error
-        # carries the diverging client's position in the input
+        # the stack trains the longest schedule first, yet the failure is
+        # keyed by the diverging client's position in the input
         spec, data, starts, _ = self._clients([4, 30, 12], "logreg", 10, False, 2)
-        with pytest.raises(NumericError) as err:
+        failures = {}
+        with np.errstate(all="ignore"):
             _local_train(
                 spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(2, 10),
                 OptState(0.05, 0.9), [Rng(2, k) for k in range(3)], None, [0.0, 0.0, 1e300],
+                failures,
             )
-        assert err.value.client == 2
+        assert list(failures) == [2]
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_diverging_clients_leave_the_others_as_alone(self, kind):
+        # a long client (35 rows, 12 steps) at mu 1e100 diverges at step 3
+        # and a short one (4 rows, 3 steps) at mu 1e300 at step 2, beside
+        # two healthy clients: the call completes, the healthy rows and
+        # stats equal each client alone, and each diverging client is
+        # recorded once, in first-failure order, with the error it raises
+        # alone
+        sizes, mus = [30, 35, 12, 4], [0.0, 1e100, 0.0, 1e300]
+        spec, data, starts, _ = self._clients(sizes, kind, 10, False, 2)
+        local, opt = LocalTrainSpec(3, 10), OptState(0.05, 0.9)
+        failures = {}
+        with np.errstate(all="ignore"):
+            out, stats = _local_train(
+                spec, starts, [x for x, _ in data], [y for _, y in data], local, opt,
+                [Rng(2, k) for k in range(4)], None, mus, failures,
+            )
+        assert list(failures) == [3, 1]
+        for k, mu in enumerate(mus):
+            if k in failures:
+                with pytest.raises(NumericError) as err:
+                    train_one(spec, starts[k], *data[k], local, opt, Rng(2, k), None, mu)
+                assert str(failures[k]) == str(err.value)
+            else:
+                alone, steps, mean_loss = train_one(
+                    spec, starts[k], *data[k], local, opt, Rng(2, k), None, mu
+                )
+                assert np.array_equal(out[k], alone), f"client {k}"
+                assert (stats.client_steps[k], stats.mean_losses[k]) == (steps, mean_loss)
+        # without a dict the call raises the first client's error
+        with pytest.raises(NumericError) as err:
+            _local_train(
+                spec, starts, [x for x, _ in data], [y for _, y in data], local, opt,
+                [Rng(2, k) for k in range(4)], None, mus,
+            )
+        assert str(err.value) == str(failures[3])
 
     def test_each_stream_ends_after_its_epoch_shuffles(self):
         # the shuffles are drawn at call start, yet each client's stream
