@@ -518,9 +518,10 @@ def _run_inputs(cfg: ExperimentConfig, seed: int, cache: dict | None):
 
 
 # the `run_inputs` cache keys under which `run_sweep` lists the cells that
-# train in lock-step with the next `run_single` call, and under which that
-# call leaves the other cells' outcomes
-_GROUP, _OUTCOMES = "lock-step group", "lock-step outcomes"
+# train in lock-step with the next `run_single` call, under which that call
+# leaves the other cells' outcomes, and under which the run keeps its
+# shuffle memo (`_drive`)
+_GROUP, _OUTCOMES, _SHUFFLES = "lock-step group", "lock-step outcomes", "shuffle memo"
 
 
 def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None):
@@ -531,14 +532,17 @@ def run_single(cfg: ExperimentConfig, seed: int, *, _inputs: dict | None = None)
     lists there the group of cells that trains in lock-step with `cfg`:
     the first call for a cell of the group trains every cell of it and
     leaves the others' outcomes in the cache, where their own calls find
-    them. Alone, `cfg` is a group of one.
+    them. Alone, `cfg` is a group of one. A sweep run also keeps there the
+    shuffle memo its groups' drives share; alone, a run has none and
+    draws every client's shuffles.
     """
     inputs = {} if _inputs is None else _inputs
     outcomes = inputs.get(_OUTCOMES, {})
     if cfg not in outcomes:
         group = inputs.pop(_GROUP, [cfg])
         tasks = [_cell_task(cell, seed, inputs) for cell in group]
-        outcomes = inputs[_OUTCOMES] = dict(zip(group, _drive(tasks)))
+        shuffles = inputs.get(_SHUFFLES)
+        outcomes = inputs[_OUTCOMES] = dict(zip(group, _drive(tasks, shuffles)))
     outcome = outcomes.pop(cfg)
     if isinstance(outcome, FedsimError):
         raise outcome
@@ -678,15 +682,18 @@ def run_sweep(cfg: ExperimentConfig) -> tuple[list[ResultRow], list[str]]:
     settings train in one stacked `_local_train` call. A client's result
     does not depend on its stack, so every (cell, run) result is
     bit-identical to `run_single` of that cell alone; a cell that
-    diverges fails alone. Rows come out cell by cell, run order within
-    each cell.
+    diverges fails alone. The run's cells read the same client streams,
+    so its groups share one shuffle memo (`_drive`): each shared client
+    shuffle is drawn once per run and copied for the other cells, and the
+    memo is dropped with the run's inputs. Rows come out cell by cell,
+    run order within each cell.
     """
     cell_cfgs = [apply_cell(cfg, cell) for cell in sweep_cells(cfg)]
     groups = lockstep_groups(cell_cfgs)
     outcomes: list[list[RunOutcome]] = [[] for _ in cell_cfgs]
     for r in range(cfg.runs):
         seed = hash64(cfg.seed, r)
-        inputs: dict = {}
+        inputs: dict = {_SHUFFLES: {}}
         for group in groups:
             inputs[_GROUP] = [cell_cfgs[i] for i in group]
             for i in group:

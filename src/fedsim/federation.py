@@ -403,18 +403,25 @@ def _lockstep(tasks: list[Task]) -> Task:
         del jobs, trained
 
 
-def _drive(tasks: list[Task]) -> list:
+def _drive(tasks: list[Task], shuffles: dict | None = None) -> list:
     """Advance every task one step at a time until each returns; each
     step's jobs train together (`_train_jobs`). Returns each task's
     result, or the FedsimError it raised: a failed task is dropped and
     the others go on. A task with a diverging client is closed with its
     error; a client's result does not depend on its stack, so the others
-    go on bit-identical to being driven alone."""
+    go on bit-identical to being driven alone.
+
+    `shuffles`, when given, is the epoch-shuffle memo every call of the
+    drive shares (`_local_train`): a fresh client stream whose shuffles
+    an earlier client drew, in this call or an earlier one, copies them
+    instead of drawing them again. The shuffles are fixed by the stream's
+    key, so the results are bit-identical either way. `run_sweep` passes
+    one per run seed, whose cells read the same client streams."""
     outcomes: list = [None] * len(tasks)
     replies: dict[int, list[Reply] | None] = dict.fromkeys(range(len(tasks)))
     while replies:
         jobs = _next_jobs(tasks, replies, outcomes, FedsimError)
-        replies, failed = _train_jobs(jobs)
+        replies, failed = _train_jobs(jobs, shuffles)
         del jobs
         for i, exc in failed.items():
             outcomes[i] = exc
@@ -440,13 +447,14 @@ def _next_jobs(tasks, replies, outcomes, caught) -> dict[int, list[_Job]]:
 
 
 def _train_jobs(
-    jobs: dict[int, list[_Job]],
+    jobs: dict[int, list[_Job]], shuffles: dict | None = None
 ) -> tuple[dict[int, list[Reply]], dict[int, NumericError]]:
     """Train the jobs of each task, one `_local_train` call for the jobs
     that share its shared settings (model, epochs, batch size, lr and
     momentum), in the order each setting first appears, and split the
     rows and stats back per job. Also returns each task's first error:
-    its first diverging client's, in call order."""
+    its first diverging client's, in call order. `shuffles` is the
+    drive's shuffle memo, or None."""
     calls: dict[tuple, list[tuple[int, int]]] = {}
     for i, task_jobs in jobs.items():
         for p, job in enumerate(task_jobs):
@@ -454,7 +462,7 @@ def _train_jobs(
     replies = {i: [None] * len(task_jobs) for i, task_jobs in jobs.items()}
     failed: dict[int, NumericError] = {}
     for members in calls.values():
-        trained, errors = _train_call([jobs[i][p] for i, p in members])
+        trained, errors = _train_call([jobs[i][p] for i, p in members], shuffles)
         for (i, p), reply in zip(members, trained):
             replies[i][p] = reply
         for j, exc in errors.items():
@@ -462,13 +470,15 @@ def _train_jobs(
     return replies, failed
 
 
-def _train_call(batch: list[_Job]) -> tuple[list[Reply], dict[int, NumericError]]:
+def _train_call(
+    batch: list[_Job], shuffles: dict | None = None
+) -> tuple[list[Reply], dict[int, NumericError]]:
     """One `_local_train` call over the clients of `batch`, in job order.
 
-    Each job's FedProx weight and offsets go to its own clients only.
-    Returns each job's reply, and by job index the first error of each
-    job with a diverging client, prefixed by its label, in the order the
-    kernel found them. The jobs hold the round's Rngs and offsets, and
+    Each job's FedProx weight and offsets go to its own clients only, and
+    `shuffles` to the kernel as its shuffle memo. Returns each job's
+    reply, and by job index the first error of each job with a diverging
+    client, prefixed by its label, in the order the kernel found them. The jobs hold the round's Rngs and offsets, and
     are dropped on return, before the tasks fuse and evaluate.
     """
     first = batch[0]
@@ -487,6 +497,7 @@ def _train_call(batch: list[_Job]) -> tuple[list[Reply], dict[int, NumericError]
         offsets,
         [job.prox_mu for job in batch for _ in job.starts],
         failures,
+        shuffles,
     )
     ends = list(itertools.accumulate(len(job.starts) for job in batch))
     errors: dict[int, NumericError] = {}

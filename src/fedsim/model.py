@@ -364,6 +364,7 @@ def _local_train(
     grad_offsets: list[np.ndarray | None] | None = None,
     prox_mus: list[float] | None = None,
     failures: dict[int, NumericError] | None = None,
+    shuffles: dict[tuple, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, LocalStats]:
     """Train m clients, each from its own start, by E epochs of batched SGD with momentum.
 
@@ -384,7 +385,13 @@ def _local_train(
     client draws all E of its shuffles from its own `Rng` up front, in
     epoch order: these are the words the epoch-by-epoch draws would
     read, because nothing else draws from a client's stream during the
-    call. The shuffles fill one row-index schedule in which client i
+    call. With the internal `shuffles` memo, the shuffles of a client
+    whose `Rng` has read no word are fixed by its key (seed, stream, n,
+    E): when the memo holds that key they are copied from it and the
+    `Rng` is left unread (callers pass fresh substreams and draw no more
+    from them), and otherwise they are drawn and stored there as an
+    (E, n) int32 array, read-only. Any other `Rng` draws as without a
+    memo. The shuffles fill one row-index schedule in which client i
     has E epochs, each padded to whole batches with slots that point at
     the zero row, so its batch at step s is the `batch_size` slots at
     `s * batch_size` past its base.
@@ -442,10 +449,19 @@ def _local_train(
     bases = [0, *itertools.accumulate(s * batch for s in steps)]  # its first schedule slot
     sched = np.full(bases[-1], len(x_all) - 1, dtype=np.int32)
     for i, k in enumerate(order):
-        n = sizes[i]
+        n, rng = sizes[i], rngs[k]
         epochs = sched[bases[i] : bases[i + 1]].reshape(train.epochs, per_epoch[i] * batch)
-        for epoch, shuffle in zip(epochs, rngs[k].permutations(n, train.epochs)):
-            epoch[:n] = shuffle
+        # a stream that has read no word draws shuffles fixed by its key, n and E
+        key = (rng.seed, rng.stream, n, train.epochs)
+        fresh = shuffles is not None and not rng._blocks
+        if fresh and key in shuffles:
+            epochs[:, :n] = shuffles[key]
+        else:
+            for epoch, shuffle in zip(epochs, rng.permutations(n, train.epochs)):
+                epoch[:n] = shuffle
+            if fresh:
+                shuffles[key] = drawn = epochs[:, :n].copy()
+                drawn.setflags(write=False)
         epochs[:, :n] += firsts[i]
     # every client's true row count on each step where some still-training
     # client's batch is short, the last of an epoch

@@ -566,6 +566,26 @@ class TestLockStepSweep:
         alone, _ = run_sweep(load_config(write_config(tmp_path, text, name="fedavg.cfg")))
         assert [r for r in rows if r.algorithm == "fedavg"] == alone
 
+    def test_a_second_algorithm_draws_no_more_shuffles(self, tmp_path, monkeypatch):
+        # the cells of a run read the same client and newcomer streams, so
+        # a second algorithm copies every shuffle the first one drew
+        from fedsim.core import Rng
+
+        calls = []
+        original = Rng.permutation
+
+        def counting(rng, n):
+            calls.append(n)
+            return original(rng, n)
+
+        monkeypatch.setattr(Rng, "permutation", counting)
+        text = TINY + "newcomer = true\nsweep.alpha = 0.3\n"
+        run_sweep(load_config(write_config(tmp_path, text, name="one.cfg")))
+        one = len(calls)
+        calls.clear()
+        run_sweep(load_config(write_config(tmp_path, text + "sweep.algorithm = fedavg,fedprox\n")))
+        assert len(calls) == one > 0
+
 
 # The entries of the benchmark's sweep workload (perfbench/workloads.py)
 # at workload seed 3.

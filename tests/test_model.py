@@ -641,6 +641,82 @@ class TestStacking:
             )
 
 
+class TestShuffleMemo:
+    """A call given a shuffle memo copies the epoch shuffles of a fresh
+    stream that an earlier client drew, and equals the memo-less call."""
+
+    @staticmethod
+    def _call(clients, kind, seed, epochs, shuffles, rngs=None):
+        # clients: (stream, n) pairs; equal streams are one substream
+        spec, data, starts, _ = TestStacking._clients([n for _, n in clients], kind, 10, False, seed)
+        rngs = rngs or [Rng(seed, 300 + stream) for stream, _ in clients]
+        return _local_train(
+            spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(epochs, 10),
+            OptState(0.05, 0.9), rngs, shuffles=shuffles,
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        calls=st.lists(
+            st.tuples(
+                st.sampled_from([1, 2]),
+                st.lists(
+                    st.tuples(st.integers(0, 2), st.sampled_from([1, 7, 20])),
+                    min_size=1, max_size=6,
+                ),
+            ),
+            min_size=2, max_size=2,
+        ),
+        kind=st.sampled_from(["logreg", "mlp"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_duplicate_fresh_streams_equal_the_memo_less_calls(self, calls, kind, seed):
+        # duplicates within a call and across the two calls sharing one memo
+        memo = {}
+        for epochs, clients in calls:
+            out, stats = self._call(clients, kind, seed, epochs, memo)
+            ref, ref_stats = self._call(clients, kind, seed, epochs, None)
+            assert np.array_equal(out, ref)
+            assert stats == ref_stats
+        keys = {(Rng(seed, 300 + s).stream, n, e) for e, clients in calls for s, n in clients}
+        assert {(stream, n, e) for _, stream, n, e in memo} == keys
+
+    def test_entries_are_the_streams_shuffles_keyed_by_n_and_epochs(self):
+        # one stream at two sizes, then at another epoch count: three entries
+        memo = {}
+        self._call([(0, 7), (0, 20), (0, 7)], "logreg", 3, 1, memo)
+        self._call([(0, 7)], "logreg", 3, 2, memo)
+        rng = Rng(3, 300)
+        assert list(memo) == [
+            (rng.seed, rng.stream, 20, 1), (rng.seed, rng.stream, 7, 1), (rng.seed, rng.stream, 7, 2)
+        ]
+        for (seed, stream, n, epochs), shuffles in memo.items():
+            fresh = Rng(seed, stream)
+            drawn = [fresh.permutation(n) for _ in range(epochs)]
+            assert shuffles.dtype == np.int32 and not shuffles.flags.writeable
+            assert np.array_equal(shuffles, drawn)
+
+    def test_a_stream_that_has_drawn_is_neither_served_nor_stored(self):
+        def used():
+            rng = Rng(3, 300)
+            rng.uniform()
+            return rng
+
+        key = (Rng(3, 300).seed, Rng(3, 300).stream, 7, 1)
+        ref, ref_stats = self._call([(0, 7)], "mlp", 3, 1, None, [used()])
+        # served, its copy of a fresh stream's shuffles would differ from its own draw
+        memo = {}
+        self._call([(0, 7)], "mlp", 3, 1, memo)
+        served = dict(memo)
+        out, stats = self._call([(0, 7)], "mlp", 3, 1, memo, [used()])
+        assert np.array_equal(out, ref) and stats == ref_stats
+        assert list(memo) == [key] and memo[key] is served[key]
+        empty = {}
+        self._call([(0, 7)], "mlp", 3, 1, empty, [used()])
+        assert empty == {}
+        assert not np.array_equal(ref, self._call([(0, 7)], "mlp", 3, 1, None)[0])
+
+
 class TestEvaluate:
     def test_zero_params_tie_breaks_to_class_zero(self):
         train, _ = balanced_dataset(n_classes=4, per_class=25, n_features=6)
