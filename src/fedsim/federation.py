@@ -578,7 +578,8 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
 
     The pool is evaluated on `test` only in the last `evaluated` rounds;
     every other round logs its accuracy as None. `name` names the
-    federation, "main" or "trainer", in its errors.
+    federation, "main" or "trainer", in its errors: its rounds' and,
+    for fedavg_ft, its fine-tune's ("main federation fine-tune: ...").
     """
     algo, n = config.algorithm, config.n_clients
     root = Rng(config.seed)
@@ -641,9 +642,12 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
 
     personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
-        personal = _fine_tune_data(
-            pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
-        )
+        try:
+            personal = _fine_tune_data(
+                pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
+            )
+        except NumericError as exc:
+            raise NumericError(f"{name} federation fine-tune: {exc}") from exc
     elif heads is not None:
         personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
     elif algo in ("clustered", "solo"):

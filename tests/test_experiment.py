@@ -586,6 +586,16 @@ class TestLockStepSweep:
         run_sweep(load_config(write_config(tmp_path, text + "sweep.algorithm = fedavg,fedprox\n")))
         assert len(calls) == one > 0
 
+    def test_fedavg_ft_fine_tune_divergence_names_its_phase(self, tmp_path):
+        # at this lr the rounds stay finite and every fine-tune overflows
+        text = TINY + "federation.algorithm = fedavg_ft\ntrain.lr = 5e307\n"
+        cfg = load_config(write_config(tmp_path, text))
+        _, errors = run_sweep(cfg)
+        assert errors == [
+            f"cell 0 run {r}: main federation fine-tune: non-finite value in segment w"
+            for r in range(cfg.runs)
+        ]
+
 
 # The entries of the benchmark's sweep workload (perfbench/workloads.py)
 # at workload seed 3.
