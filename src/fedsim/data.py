@@ -214,5 +214,6 @@ def allocate_local_test(global_test: Dataset, owned_classes) -> np.ndarray:
         raise InvalidArgument("owned_classes must be non-empty")
     if owned[0] < 0 or owned[-1] >= global_test.n_classes:
         raise InvalidArgument(f"class id outside [0, {global_test.n_classes})")
-    mask = np.isin(global_test.labels, owned)
-    return np.nonzero(mask)[0].astype(np.int64)
+    table = np.zeros(global_test.n_classes, dtype=bool)
+    table[owned] = True
+    return np.flatnonzero(table[global_test.labels]).astype(np.int64, copy=False)

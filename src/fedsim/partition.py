@@ -110,11 +110,16 @@ def _build(train: Dataset, assignment: list[np.ndarray]) -> list[ClientPartition
 def attach_local_tests(
     partitions: list[ClientPartition], global_test: Dataset
 ) -> list[ClientPartition]:
-    """Fill each partition's test indices per the owned-class rule."""
-    return [
-        dataclasses.replace(p, test_indices=allocate_local_test(global_test, p.owned_classes))
-        for p in partitions
-    ]
+    """Fill each partition's test indices per the owned-class rule.
+
+    Each distinct owned-class set's indices are computed once, and the
+    clients that own that set share the one read-only array.
+    """
+    shared: dict[frozenset[int], np.ndarray] = {}
+    for p in partitions:
+        if p.owned_classes not in shared:
+            shared[p.owned_classes] = allocate_local_test(global_test, p.owned_classes)
+    return [dataclasses.replace(p, test_indices=shared[p.owned_classes]) for p in partitions]
 
 
 def largest_remainder_counts(shares: np.ndarray, total: int) -> np.ndarray:

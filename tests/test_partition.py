@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import labels_only_dataset
+from conftest import balanced_dataset, labels_only_dataset
 from fedsim.core import Rng
-from fedsim.errors import InvalidArgument
+from fedsim.data import Dataset, allocate_local_test
+from fedsim.errors import InvalidArgument, PartitionError
 from fedsim.partition import (
+    PARTITION_KINDS,
     ClientPartition,
     PartitionSpec,
     attach_local_tests,
@@ -282,6 +286,51 @@ class TestCrossMechanismInvariants:
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.train_indices, pb.train_indices)
                 assert pa.owned_classes == pb.owned_classes
+
+
+# each kind's level parameter, two values apiece
+LEVELS = {
+    "iid": [{}],
+    "label-skew": [{"p": 0.2}, {"p": 1.0}],
+    "label-dir": [{"alpha": 0.1}, {"alpha": 1.0}],
+    "random-shard": [{"shards_per_client": 1}, {"shards_per_client": 3}],
+    "quantity-dir": [{"alpha": 0.3}, {"alpha": 5.0}],
+}
+SMALL_TRAIN, _ = balanced_dataset(n_classes=6, per_class=12, n_features=3, seed=4)
+
+
+class TestAttachLocalTests:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(PARTITION_KINDS),
+        level=st.integers(0, 1),
+        n_clients=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+        test_labels=st.lists(st.integers(0, 5), max_size=40),
+    )
+    def test_each_client_equals_allocate_local_test(
+        self, kind, level, n_clients, seed, test_labels
+    ):
+        # a test split may miss classes, so some clients own no test row
+        spec = PartitionSpec(kind, n_clients, **LEVELS[kind][level % len(LEVELS[kind])])
+        try:
+            parts = make_partitions(SMALL_TRAIN, spec, Rng(seed))
+        except (InvalidArgument, PartitionError):  # infeasible at this size
+            assume(False)
+        test = Dataset(np.full((len(test_labels), 3), 0.5), test_labels, 6, "test")
+        attached = attach_local_tests(parts, test)
+        by_classes = {}
+        for part, got in zip(parts, attached):
+            expected = allocate_local_test(test, part.owned_classes)
+            reference = np.flatnonzero(np.isin(test.labels, sorted(part.owned_classes)))
+            assert got.test_indices.dtype == expected.dtype == np.int64
+            assert np.array_equal(got.test_indices, expected)
+            assert np.array_equal(expected, reference)
+            assert not got.test_indices.flags.writeable
+            assert np.array_equal(got.train_indices, part.train_indices)
+            assert (got.client_id, got.owned_classes) == (part.client_id, part.owned_classes)
+            # clients owning equal class sets share one array
+            assert by_classes.setdefault(part.owned_classes, got.test_indices) is got.test_indices
 
 
 class TestManifest:
