@@ -447,7 +447,7 @@ def _next_jobs(tasks, replies, outcomes, caught) -> dict[int, list[_Job]]:
 
 
 def _train_jobs(
-    jobs: dict[int, list[_Job]], shuffles: dict | None = None
+    jobs: dict[int, list[_Job]], shuffles: dict | None
 ) -> tuple[dict[int, list[Reply]], dict[int, NumericError]]:
     """Train the jobs of each task, one `_local_train` call for the jobs
     that share its shared settings (model, epochs, batch size, lr and
@@ -471,15 +471,16 @@ def _train_jobs(
 
 
 def _train_call(
-    batch: list[_Job], shuffles: dict | None = None
+    batch: list[_Job], shuffles: dict | None
 ) -> tuple[list[Reply], dict[int, NumericError]]:
     """One `_local_train` call over the clients of `batch`, in job order.
 
     Each job's FedProx weight and offsets go to its own clients only, and
     `shuffles` to the kernel as its shuffle memo. Returns each job's
     reply, and by job index the first error of each job with a diverging
-    client, prefixed by its label, in the order the kernel found them. The jobs hold the round's Rngs and offsets, and
-    are dropped on return, before the tasks fuse and evaluate.
+    client, prefixed by its label, in the order the kernel found them.
+    The jobs hold the round's Rngs and offsets, and are dropped on
+    return, before the tasks fuse and evaluate.
     """
     first = batch[0]
     offsets = None

@@ -566,11 +566,15 @@ class TestLockStepSweep:
         alone, _ = run_sweep(load_config(write_config(tmp_path, text, name="fedavg.cfg")))
         assert [r for r in rows if r.algorithm == "fedavg"] == alone
 
-    def test_a_second_algorithm_draws_no_more_shuffles(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("group_clients", [24, 3])
+    def test_a_second_algorithm_draws_no_more_shuffles(self, tmp_path, monkeypatch, group_clients):
         # the cells of a run read the same client and newcomer streams, so
-        # a second algorithm copies every shuffle the first one drew
+        # a second algorithm copies every shuffle the first one drew, in its
+        # group or, at 3 clients a group, in a group of its own
+        import fedsim.experiment as experiment
         from fedsim.core import Rng
 
+        monkeypatch.setattr(experiment, "GROUP_CLIENTS", group_clients)
         calls = []
         original = Rng.permutation
 
@@ -583,7 +587,10 @@ class TestLockStepSweep:
         run_sweep(load_config(write_config(tmp_path, text, name="one.cfg")))
         one = len(calls)
         calls.clear()
-        run_sweep(load_config(write_config(tmp_path, text + "sweep.algorithm = fedavg,fedprox\n")))
+        two = load_config(write_config(tmp_path, text + "sweep.algorithm = fedavg,fedprox\n"))
+        cells = [apply_cell(two, cell) for cell in sweep_cells(two)]
+        assert len(lockstep_groups(cells)) == (1 if group_clients == 24 else 2)
+        run_sweep(two)
         assert len(calls) == one > 0
 
     def test_fedavg_ft_fine_tune_divergence_names_its_phase(self, tmp_path):

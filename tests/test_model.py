@@ -648,14 +648,17 @@ class TestShuffleMemo:
     @staticmethod
     def _call(clients, kind, seed, epochs, shuffles, rngs=None):
         # clients: (stream, n) pairs; equal streams are one substream
-        spec, data, starts, _ = TestStacking._clients([n for _, n in clients], kind, 10, False, seed)
+        sizes = [n for _, n in clients]
+        spec, data, starts, _ = TestStacking._clients(sizes, kind, 10, False, seed)
         rngs = rngs or [Rng(seed, 300 + stream) for stream, _ in clients]
         return _local_train(
             spec, starts, [x for x, _ in data], [y for _, y in data], LocalTrainSpec(epochs, 10),
             OptState(0.05, 0.9), rngs, shuffles=shuffles,
         )
 
-    @settings(max_examples=40, deadline=None)
+    # a broken memo fails in several ways at once, and shrinking every one
+    # of them takes minutes; one shrunk failure is enough
+    @settings(max_examples=40, deadline=None, report_multiple_bugs=False)
     @given(
         calls=st.lists(
             st.tuples(
@@ -678,18 +681,15 @@ class TestShuffleMemo:
             ref, ref_stats = self._call(clients, kind, seed, epochs, None)
             assert np.array_equal(out, ref)
             assert stats == ref_stats
-        keys = {(Rng(seed, 300 + s).stream, n, e) for e, clients in calls for s, n in clients}
-        assert {(stream, n, e) for _, stream, n, e in memo} == keys
+        keys = {(seed, 300 + s, n, e) for e, clients in calls for s, n in clients}
+        assert set(memo) == keys
 
     def test_entries_are_the_streams_shuffles_keyed_by_n_and_epochs(self):
         # one stream at two sizes, then at another epoch count: three entries
         memo = {}
         self._call([(0, 7), (0, 20), (0, 7)], "logreg", 3, 1, memo)
         self._call([(0, 7)], "logreg", 3, 2, memo)
-        rng = Rng(3, 300)
-        assert list(memo) == [
-            (rng.seed, rng.stream, 20, 1), (rng.seed, rng.stream, 7, 1), (rng.seed, rng.stream, 7, 2)
-        ]
+        assert list(memo) == [(3, 300, 20, 1), (3, 300, 7, 1), (3, 300, 7, 2)]
         for (seed, stream, n, epochs), shuffles in memo.items():
             fresh = Rng(seed, stream)
             drawn = [fresh.permutation(n) for _ in range(epochs)]
@@ -702,19 +702,19 @@ class TestShuffleMemo:
             rng.uniform()
             return rng
 
-        key = (Rng(3, 300).seed, Rng(3, 300).stream, 7, 1)
         ref, ref_stats = self._call([(0, 7)], "mlp", 3, 1, None, [used()])
-        # served, its copy of a fresh stream's shuffles would differ from its own draw
+        # served the fresh stream's shuffles, it would train as the fresh one
+        fresh = self._call([(0, 7)], "mlp", 3, 1, None)[0]
+        assert not np.array_equal(ref, fresh)
         memo = {}
         self._call([(0, 7)], "mlp", 3, 1, memo)
-        served = dict(memo)
+        [(key, drawn)] = memo.items()
         out, stats = self._call([(0, 7)], "mlp", 3, 1, memo, [used()])
         assert np.array_equal(out, ref) and stats == ref_stats
-        assert list(memo) == [key] and memo[key] is served[key]
+        assert list(memo) == [key] and memo[key] is drawn
         empty = {}
         self._call([(0, 7)], "mlp", 3, 1, empty, [used()])
         assert empty == {}
-        assert not np.array_equal(ref, self._call([(0, 7)], "mlp", 3, 1, None)[0])
 
 
 class TestEvaluate:
