@@ -9,15 +9,16 @@ All of them run one round loop, `_round_loop`, over a pool of models:
 one shared model, `n_clusters` for clustered, one per client for solo.
 Each round it samples clients (solo takes all), maps each to its pool
 slot, trains them from there, fuses each slot's members and evaluates
-the pool, but only in the rounds a reported number reads: the main
-federation in the last max(floor(C*N), 1) rounds, the window
-`gfl_metric` averages, and the newcomer protocol's trainer federation
-in none. Other rounds log no accuracy. An algorithm changes only some
-steps: fedprox the train spec, scaffold the gradient offsets and the
-fusion, fednova the fusion, decoupled the start (it splices in the
-client's head), clustered and solo the slot, solo the fusion (none)
-and the accuracy (the pool's mean, not its best), and the personalized
-ones the models they keep.
+the pool, but only in the rounds a reported number reads: for
+`run_federation`, the last max(floor(C*N), 1) rounds, the window
+`gfl_metric` averages. Other rounds log no accuracy. An algorithm
+changes only some steps: fedprox the train spec, scaffold the gradient
+offsets and the fusion, fednova the fusion, decoupled the start (it
+splices in the client's head), clustered and solo the slot, solo the
+fusion (none) and the accuracy (the pool's mean, not its best). The
+loop only trains and returns its final pool; `_federation_task` builds
+the `RunResult` from it, with the models the personalized algorithms
+keep and the final global model.
 
 The selected clients train together in one stacked `_local_train`
 call, each on its own random substream; a client's result does not
@@ -28,13 +29,13 @@ training settings) and is sent back the trained rows. `_drive` steps
 any number of tasks one round at a time and trains the jobs of each
 step that share a model, epochs, batch size, lr and momentum in one
 call, each job's FedProx weight and SCAFFOLD offsets going to its own
-clients only. `run_federation` drives the main federation, and with
-newcomers the trainer federation in lock-step with it; a sweep drives
-the cells of a run seed that way, group by group
-(`experiment.lockstep_groups`). A client that diverges in a merged
-call is recorded and the call goes on, so the task that owns it fails,
-with an error naming its federation and round, and every other task
-keeps its reply from that same call.
+clients only. `run_federation` drives one federation alone, and
+`_lockstep` steps several tasks as one; a sweep drives the cells of a
+run seed together, group by group (`experiment.lockstep_groups`). A
+client that diverges in a merged call is recorded and the call goes
+on, so the task that owns it fails, with an error naming its
+federation and round, and every other task keeps its reply from that
+same call.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import hashlib
 import itertools
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Generator, NamedTuple
 
 import numpy as np
@@ -294,60 +295,48 @@ class _ClientData:
         return sub
 
 
-def trainer_federation(
-    config: FederationConfig, partitions: list[ClientPartition], newcomers: tuple[int, ...]
-) -> tuple[FederationConfig, list[int]]:
-    """The newcomer protocol's trainer federation: its config, and the
-    positions in `partitions` of every client outside `newcomers`, in
-    order. Its client i is `partitions[positions[i]]`. Solo has no
-    shared model to hand over and is rejected."""
-    if config.algorithm == "solo":
-        raise InvalidArgument("solo training produces no model for newcomers")
-    holdout = set(newcomers)
-    positions = [i for i, p in enumerate(partitions) if p.client_id not in holdout]
-    return replace(config, n_clients=len(positions)), positions
-
-
 def run_federation(
     config: FederationConfig,
     model_spec: ModelSpec,
     partitions: list[ClientPartition],
     train: Dataset,
     test: Dataset,
-    newcomers: tuple[int, ...] | None = None,
-) -> RunResult | tuple[RunResult, RunResult]:
-    """Execute T communication rounds of the configured algorithm.
-
-    With `newcomers`, also trains the newcomer protocol's trainer
-    federation (`trainer_federation`) and returns the (main, trainer)
-    results. The two advance in lock-step, one round at a time, and
-    each round's clients of both train in one stacked `_local_train`
-    call; since a client's result does not depend on the rest of the
-    stack, each result is bit-identical to training that federation
-    alone. Within a round the main federation's own work runs first.
-    """
+) -> RunResult:
+    """Execute T communication rounds of the configured algorithm."""
     data = _ClientData(train, partitions)
-    return _run(_federation_task(config, model_spec, partitions, data, test, newcomers))
+    return _run(_federation_task(config, model_spec, partitions, data, test))
 
 
-def _federation_task(
-    config, model_spec, partitions, data: _ClientData, test, newcomers=None
-) -> Task:
-    """`run_federation` as a task; `data` holds the train rows of `partitions`."""
+def _federation_task(config, model_spec, partitions, data: _ClientData, test) -> Task:
+    """`run_federation` as a task; `data` holds the train rows of `partitions`.
+
+    After the round loop it builds the result from the final pool: the
+    models the personalized algorithms keep, and `final_global`, the
+    last round's best model (none for solo)."""
     if len(partitions) != config.n_clients:
         raise InvalidArgument(
             f"config declares {config.n_clients} clients, got {len(partitions)} partitions"
         )
-    # the main federation evaluates the window gfl_metric averages; the
-    # trainer's accuracies feed no metric, so it evaluates no round
-    window = participant_count(config.n_clients, config.sample_rate)
-    loops = [_round_loop(config, model_spec, data, test, window)]
-    if newcomers is not None:
-        trainer_config, positions = trainer_federation(config, partitions, newcomers)
-        trainer_data = data.subset(positions)
-        loops.append(_round_loop(trainer_config, model_spec, trainer_data, test, 0, "trainer"))
-    results = yield from _lockstep(loops)
-    return results[0] if newcomers is None else tuple(results)
+    algo, n = config.algorithm, config.n_clients
+    window = participant_count(n, config.sample_rate)
+    logs, pool, heads, accs = yield from _round_loop(config, model_spec, data, test, window)
+    personal: dict[int, np.ndarray] = {}
+    if algo == "fedavg_ft":
+        opt = OptState(config.lr, config.momentum)
+        try:
+            personal = _fine_tune_data(
+                pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt,
+                Rng(config.seed),
+            )
+        except NumericError as exc:
+            raise NumericError(f"main federation fine-tune: {exc}") from exc
+    elif heads is not None:
+        boundary = model_spec.local_boundary()
+        personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
+    elif algo in ("clustered", "solo"):
+        personal = {k: pool[_slot(config, model_spec, pool, data, k)] for k in range(n)}
+    final_global = None if algo == "solo" else pool[int(np.argmax(accs))]
+    return RunResult(logs, final_global, personal, pool if algo == "clustered" else None)
 
 
 class _Job(NamedTuple):
@@ -577,10 +566,11 @@ def _fuse_round(config, model_spec, pool, selected, slots, trained, steps, data,
 def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "main") -> Task:
     """The round protocol of every algorithm over its pool of models.
 
-    The pool is evaluated on `test` only in the last `evaluated` rounds;
-    every other round logs its accuracy as None. `name` names the
-    federation, "main" or "trainer", in its errors: its rounds' and,
-    for fedavg_ft, its fine-tune's ("main federation fine-tune: ...").
+    It only trains, and returns the round logs, the final pool,
+    decoupled's heads (or None) and the last evaluated round's pool
+    accuracies (or None). The pool is evaluated on `test` only in the
+    last `evaluated` rounds; every other round logs its accuracy as
+    None. `name` names the federation in its rounds' errors.
     """
     algo, n = config.algorithm, config.n_clients
     root = Rng(config.seed)
@@ -598,6 +588,7 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
     opt = OptState(config.lr, config.momentum)
     test_idx = range(test.n_samples)
     logs: list[RoundLog] = []
+    accs = None
 
     for t in range(config.rounds):
         label = f"{name} federation round {t}"
@@ -641,24 +632,7 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
         )
         logs.append(RoundLog(t, selected, len(selected), acc, client_stats))
 
-    personal: dict[int, np.ndarray] = {}
-    if algo == "fedavg_ft":
-        try:
-            personal = _fine_tune_data(
-                pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt, root
-            )
-        except NumericError as exc:
-            raise NumericError(f"{name} federation fine-tune: {exc}") from exc
-    elif heads is not None:
-        personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
-    elif algo in ("clustered", "solo"):
-        personal = {k: pool[_slot(config, model_spec, pool, data, k)] for k in range(n)}
-    if algo == "solo" or (not evaluated and len(pool) > 1):
-        final_global = None  # no shared model, or no accuracy to pick one by
-    else:
-        # the last round's best model; a loop that evaluated none has one
-        final_global = pool[int(np.argmax(accs)) if evaluated else 0]
-    return RunResult(logs, final_global, personal, pool if algo == "clustered" else None)
+    return logs, pool, heads, accs
 
 
 def _fine_tune_data(

@@ -10,7 +10,7 @@ subset). Fairness is the spread of those per-client accuracies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,6 +27,8 @@ from .federation import (  # noqa: F401
     _ClientData,
     _federation_task,
     _Job,
+    _lockstep,
+    _round_loop,
     _run,
     assign_cluster,
     participant_count,
@@ -146,6 +148,20 @@ def newcomer_holdout(seed: int, n_clients: int) -> tuple[int, ...]:
     return tuple(int(i) for i in rng.sample_without_replacement(n_clients, h))
 
 
+def trainer_federation(
+    config: FederationConfig, partitions: list[ClientPartition], newcomers: tuple[int, ...]
+) -> tuple[FederationConfig, list[int]]:
+    """The newcomer protocol's trainer federation: its config, and the
+    positions in `partitions` of every client outside `newcomers`, in
+    order. Its client i is `partitions[positions[i]]`. Solo has no
+    shared model to hand over and is rejected."""
+    if config.algorithm == "solo":
+        raise InvalidArgument("solo training produces no model for newcomers")
+    holdout = set(newcomers)
+    positions = [i for i, p in enumerate(partitions) if p.client_id not in holdout]
+    return replace(config, n_clients=len(positions)), positions
+
+
 def newcomer_protocol(
     config: FederationConfig,
     model_spec: ModelSpec,
@@ -156,31 +172,35 @@ def newcomer_protocol(
     """Reserve 20% of clients, train on the rest, adapt the newcomers.
 
     The main federation (all clients) and the trainer federation (all
-    but the newcomers) train in lock-step, as `run_federation` trains
-    them. Newcomers then receive the trainer's model (their best-loss
-    cluster for the clustered algorithm), fine-tune locally, and are
-    scored by the personalized rule, `local_test_accuracies`. Returns
-    the main federation's result and the newcomers' mean accuracy. Solo
-    has no shared model to hand over and is rejected.
+    but the newcomers) train in lock-step. Newcomers then receive the
+    trainer's model (their best-loss cluster for the clustered
+    algorithm), fine-tune locally, and are scored by the personalized
+    rule, `local_test_accuracies`. Returns the main federation's result,
+    as `run_federation` returns it, and the newcomers' mean accuracy.
+    Solo has no shared model to hand over and is rejected.
     """
     data = _ClientData(train, partitions)
     return _run(_newcomer_task(config, model_spec, partitions, data, test))
 
 
 def _newcomer_task(config, model_spec, partitions, data: _ClientData, test) -> Task:
-    """`newcomer_protocol` as a task; `data` holds the train rows of `partitions`."""
+    """`newcomer_protocol` as a task; `data` holds the train rows of `partitions`.
+
+    It steps the main federation's task and the trainer's round loop in
+    lock-step, the main's own work first in each round. The trainer
+    evaluates no round and hands its final pool to the newcomers."""
     newcomers = newcomer_holdout(config.seed, config.n_clients)
-    result, trainer = yield from _federation_task(
-        config, model_spec, partitions, data, test, newcomers
-    )
+    trainer_config, positions = trainer_federation(config, partitions, newcomers)
+    main = _federation_task(config, model_spec, partitions, data, test)
+    trainer = _round_loop(trainer_config, model_spec, data.subset(positions), test, 0, "trainer")
+    result, (_, pool, _, _) = yield from _lockstep([main, trainer])
     position = {p.client_id: i for i, p in enumerate(partitions)}
     xs = [data.features[position[cid]] for cid in newcomers]
     ys = [data.labels[position[cid]] for cid in newcomers]
     if config.algorithm == "clustered":
-        clusters = trainer.final_clusters
-        starts = [clusters[assign_cluster(model_spec, clusters, x, y)] for x, y in zip(xs, ys)]
+        starts = [pool[assign_cluster(model_spec, pool, x, y)] for x, y in zip(xs, ys)]
     else:
-        starts = [trainer.final_global] * len(newcomers)
+        starts = [pool[0]] * len(newcomers)
     # every newcomer adapts in one stacked call, each on its own substream
     root = Rng(config.seed)
     [(adapted, _)] = yield [_Job(

@@ -3,8 +3,9 @@ import pytest
 
 from fedsim.core import Rng
 from fedsim.data import Dataset, SyntheticSpec, generate_synthetic
-from fedsim.federation import _ClientData, _round_loop, _run, trainer_federation
-from fedsim.metrics import newcomer_holdout
+from fedsim.federation import _ClientData, _fine_tune_data, _round_loop, _run
+from fedsim.metrics import newcomer_holdout, trainer_federation
+from fedsim.model import OptState
 
 
 def balanced_dataset(
@@ -40,8 +41,33 @@ def trainer_alone(config, model_spec, partitions, train, test):
     """The newcomer protocol's trainer federation trained on its own, not
     in lock-step with the main one: the reference for the lock-step run.
     Its round loop is driven alone and, as in the lock-step run,
-    evaluates no round."""
+    evaluates no round. Returns the loop's (logs, pool, heads, accs)."""
     newcomers = newcomer_holdout(config.seed, config.n_clients)
     trainer_config, positions = trainer_federation(config, partitions, newcomers)
     data = _ClientData(train, [partitions[i] for i in positions])
     return _run(_round_loop(trainer_config, model_spec, data, test, 0, "trainer"))
+
+
+def loop_output(out):
+    """A round loop's (logs, pool, heads, accs) in a form `==` compares
+    bit for bit."""
+    logs, pool, heads, accs = out
+    heads = None if heads is None else {k: h.tobytes() for k, h in heads.items()}
+    return logs, [theta.tobytes() for theta in pool], heads, accs
+
+
+def trainer_fine_tuned(config, model_spec, partitions, train, test):
+    """Each trainer client's model, by client id, after a fedavg_ft
+    fine-tune of the trainer federation's final model over the trainer's
+    clients: the personalized model a newcomer that duplicates a trainer
+    is compared with."""
+    _, pool, _, _ = trainer_alone(config, model_spec, partitions, train, test)
+    _, positions = trainer_federation(
+        config, partitions, newcomer_holdout(config.seed, config.n_clients)
+    )
+    trainers = [partitions[i] for i in positions]
+    personal = _fine_tune_data(
+        pool[0], model_spec, _ClientData(train, trainers), config.ft_epochs,
+        config.local.batch_size, OptState(config.lr, config.momentum), Rng(config.seed),
+    )
+    return {p.client_id: personal[i] for i, p in enumerate(trainers)}

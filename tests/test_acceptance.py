@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import trainer_alone
+from conftest import trainer_fine_tuned
 from fedsim.core import Rng, dirichlet_sample, hash64
 from fedsim.data import SyntheticSpec, generate_synthetic
 from fedsim.federation import (
@@ -374,9 +374,7 @@ def test_criterion_11_newcomer_protocol():
         ]
         # one newcomer, so the mean newcomer accuracy is the holdout's
         _, newcomer_acc = newcomer_protocol(cfg, model, parts, train, test)
-        trainer_ids = [p.client_id for p in parts if p.client_id != holdout]
-        trainer = trainer_alone(cfg, model, parts, train, test)
-        twin_model = trainer.final_personal[trainer_ids.index(twin)]
+        twin_model = trainer_fine_tuned(cfg, model, parts, train, test)[twin]
         from fedsim.metrics import local_test_accuracies
 
         twin_acc = local_test_accuracies(

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import balanced_dataset, trainer_alone
-from fedsim import federation
+from conftest import balanced_dataset, loop_output, trainer_alone
+from fedsim import federation, metrics
 from fedsim.core import Rng
 from fedsim.errors import IncompatibleShape, InvalidArgument, NumericError
 from fedsim.experiment import config_from_entries, run_single
@@ -467,16 +467,29 @@ LOCKSTEP_ALGORITHMS = (
 )
 
 
+def lockstep_results(monkeypatch) -> list:
+    """The (main result, trainer loop output) pair of each newcomer
+    protocol run, as its lock-step of the two returns it."""
+    seen = []
+
+    def recording(tasks):
+        results = yield from federation._lockstep(tasks)
+        seen.append(results)
+        return results
+
+    monkeypatch.setattr(metrics, "_lockstep", recording)
+    return seen
+
+
 class TestLockStep:
-    """With newcomers, the main and trainer federations share each round's
-    stacked call, and each result equals training that federation alone."""
+    """In the newcomer protocol, the main and trainer federations share
+    each round's stacked call, and each equals training it alone."""
 
     @pytest.mark.parametrize("algorithm", LOCKSTEP_ALGORITHMS)
     def test_each_result_equals_its_federation_alone(self, algorithm, monkeypatch):
         train, test, parts, _ = small_setup(n_clients=10)
         model = ModelSpec("mlp", 8, 5, hidden=6, layer_split=2)
         cfg = config(algorithm, n_clients=10, rounds=4, sample_rate=0.3, mu=0.05, ft_epochs=2)
-        newcomers = newcomer_holdout(cfg.seed, cfg.n_clients)
         main_alone = run_federation(cfg, model, parts, train, test)
         trainer_ref = trainer_alone(cfg, model, parts, train, test)
 
@@ -487,13 +500,16 @@ class TestLockStep:
             return _local_train(*args, **kwargs)
 
         monkeypatch.setattr(federation, "_local_train", counting)
-        main, trainer = run_federation(cfg, model, parts, train, test, newcomers)
-        assert main.digest() == main_alone.digest()
-        assert trainer.digest() == trainer_ref.digest()
+        seen = lockstep_results(monkeypatch)
+        result, _ = newcomer_protocol(cfg, model, parts, train, test)
+        [(main, trainer)] = seen
+        assert result is main and main.digest() == main_alone.digest()
+        assert loop_output(trainer) == loop_output(trainer_ref)
         # one call per round holding both federations' clients (3 + 2),
-        # plus each federation's own fine-tune call for fedavg_ft
+        # the main federation's fine-tune of all 10 clients for fedavg_ft
+        # (the trainer fine-tunes none), then the 2 newcomers' adaptation
         assert calls[: cfg.rounds] == [5] * cfg.rounds
-        assert calls[cfg.rounds :] == ([10, 8] if algorithm == "fedavg_ft" else [])
+        assert calls[cfg.rounds :] == ([10] if algorithm == "fedavg_ft" else []) + [2]
 
     def test_diverging_trainer_raises_its_own_error(self):
         # Every client holds one batch except one with three. At lr 1e200
@@ -521,7 +537,7 @@ class TestLockStep:
             with pytest.raises(NumericError) as alone:
                 trainer_alone(cfg, model, parts, train, test)
             with pytest.raises(NumericError) as together:
-                run_federation(cfg, model, parts, train, test, newcomer_holdout(seed, 10))
+                newcomer_protocol(cfg, model, parts, train, test)
         assert str(together.value) == str(alone.value)
         # the error names the federation and the round it diverged in
         assert str(together.value) == "trainer federation round 0: non-finite value in segment w1"
@@ -546,7 +562,7 @@ class TestLockStep:
         def loops():
             return [_round_loop(cfg, model, data, test, 2) for cfg in cfgs]
 
-        alone = [_run(loop).digest() for loop in loops()]
+        alone = [loop_output(_run(loop)) for loop in loops()]
         calls = []
 
         def counting(*args, **kwargs):
@@ -555,7 +571,7 @@ class TestLockStep:
 
         monkeypatch.setattr(federation, "_local_train", counting)
         together = _drive(loops())
-        assert [result.digest() for result in together] == alone
+        assert [loop_output(out) for out in together] == alone
         assert calls == [(1, 9), (2, 6)] * 4
 
     def test_merged_divergence_fails_only_its_loop(self, monkeypatch):
@@ -572,7 +588,7 @@ class TestLockStep:
         def loops():
             return [_round_loop(cfg, model, data, test, 2) for cfg in cfgs]
 
-        alone = [_run(loop).digest() for loop in loops()[::2]]
+        alone = [loop_output(_run(loop)) for loop in loops()[::2]]
         calls = []
 
         def counting(*args, **kwargs):
@@ -582,7 +598,7 @@ class TestLockStep:
         monkeypatch.setattr(federation, "_local_train", counting)
         with np.errstate(all="ignore"):
             together = _drive(loops())
-        assert [together[0].digest(), together[2].digest()] == alone
+        assert [loop_output(together[0]), loop_output(together[2])] == alone
         assert isinstance(together[1], NumericError)
         assert str(together[1]) == "main federation round 0: non-finite value in segment w"
         # round 0 merged, with no second pass; later rounds merge the two left
@@ -597,12 +613,13 @@ class TestLockStep:
 
         monkeypatch.setattr(federation, "_local_train", no_training)
         with pytest.raises(InvalidArgument, match="solo training produces no model"):
-            run_federation(cfg, model, parts, train, test, newcomer_holdout(cfg.seed, 10))
+            newcomer_protocol(cfg, model, parts, train, test)
 
 
 def evaluation_schedule(monkeypatch, test):
     """The number of `federation.evaluate` calls after each `_local_train`
-    call, in call order: one entry per round, then one per fine-tune."""
+    call, in call order: one entry per round, then one per fine-tune and
+    one for the newcomers' adaptation."""
     counts = []
 
     def training(*args, **kwargs):
@@ -654,18 +671,15 @@ class TestEvaluationSchedule:
         main_alone = run_federation(cfg, model, parts, train, test)
         alone = list(counts)
         counts.clear()
-        main, trainer = run_federation(
-            cfg, model, parts, train, test, newcomer_holdout(cfg.seed, cfg.n_clients)
-        )
+        seen = lockstep_results(monkeypatch)
+        newcomer_protocol(cfg, model, parts, train, test)
+        [(main, (trainer_logs, _, _, trainer_accs))] = seen
         # the same evaluations, though the trainer's clients share every round's call
         assert counts[: cfg.rounds] == alone[: cfg.rounds]
         assert sum(counts) == sum(alone)
         assert main.round_logs == main_alone.round_logs
-        assert [log.global_accuracy for log in trainer.round_logs] == [None] * cfg.rounds
-        if algorithm == "clustered":
-            assert trainer.final_global is None and len(trainer.final_clusters) == 2
-        else:
-            assert trainer.final_global is not None
+        assert [log.global_accuracy for log in trainer_logs] == [None] * cfg.rounds
+        assert trainer_accs is None
 
 
 class TestFineTune:

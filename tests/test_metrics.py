@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import balanced_dataset, trainer_alone
+from conftest import balanced_dataset, trainer_fine_tuned
 from fedsim import federation
 from fedsim.core import Rng
 from fedsim.errors import InvalidArgument
 from fedsim.experiment import config_from_entries, run_single
-from fedsim.federation import FederationConfig, run_federation, trainer_federation
+from fedsim.federation import FederationConfig, run_federation
 from fedsim.metrics import (
     compute_report,
     fairness_metric,
@@ -17,6 +17,7 @@ from fedsim.metrics import (
     newcomer_holdout,
     newcomer_protocol,
     pfl_metric,
+    trainer_federation,
 )
 from fedsim.model import LocalTrainSpec, ModelSpec
 from fedsim.partition import PartitionSpec, attach_local_tests, make_partitions
@@ -229,18 +230,12 @@ class TestNewcomerProtocol:
             ]
             # one newcomer, so the mean newcomer accuracy is the holdout's
             _, newcomer_acc = newcomer_protocol(cfg, model, parts, train, test)
-            trainer = trainer_alone(cfg, model, parts, train, test)
             trainer_personal = local_test_accuracies(
                 model,
-                {twin: _personal_model_of(trainer, parts, twin, holdout)},
+                {twin: trainer_fine_tuned(cfg, model, parts, train, test)[twin]},
                 [p for p in parts if p.client_id == twin],
                 test,
             )[twin]
             diffs.append(abs(newcomer_acc - trainer_personal))
         assert float(np.mean(diffs)) <= 0.05
 
-
-def _personal_model_of(trainer, parts, twin, holdout):
-    # trainer ids are re-indexed after removing the holdout
-    trainer_ids = [p.client_id for p in parts if p.client_id != holdout]
-    return trainer.final_personal[trainer_ids.index(twin)]
