@@ -46,6 +46,7 @@ import hashlib
 import itertools
 import math
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Generator, NamedTuple
 
@@ -323,18 +324,17 @@ def _federation_task(config, model_spec, partitions, data: _ClientData, test) ->
     personal: dict[int, np.ndarray] = {}
     if algo == "fedavg_ft":
         opt = OptState(config.lr, config.momentum)
-        try:
+        with _labelled("main federation fine-tune"):
             personal = _fine_tune_data(
                 pool[0], model_spec, data, config.ft_epochs, config.local.batch_size, opt,
                 Rng(config.seed),
             )
-        except NumericError as exc:
-            raise NumericError(f"main federation fine-tune: {exc}") from exc
     elif heads is not None:
         boundary = model_spec.local_boundary()
         personal = {k: _with_head(pool[0], heads[k], boundary) for k in range(n)}
     elif algo in ("clustered", "solo"):
-        personal = {k: pool[_slot(config, model_spec, pool, data, k)] for k in range(n)}
+        label = "main federation assignment"
+        personal = {k: pool[_slot(config, model_spec, pool, data, k, label)] for k in range(n)}
     final_global = None if algo == "solo" else pool[int(np.argmax(accs))]
     return RunResult(logs, final_global, personal, pool if algo == "clustered" else None)
 
@@ -511,10 +511,21 @@ def _with_head(global_p: np.ndarray, head: np.ndarray, boundary: int) -> np.ndar
     return theta
 
 
-def _slot(config, model_spec, pool, data, k) -> int:
-    """Client k's pool model: its lowest-loss cluster, its own (solo), or the shared one."""
+@contextmanager
+def _labelled(label: str):
+    """Prefix a NumericError raised inside with `label`."""
+    try:
+        yield
+    except NumericError as exc:
+        raise NumericError(f"{label}: {exc}") from exc
+
+
+def _slot(config, model_spec, pool, data, k, label) -> int:
+    """Client k's pool model: its lowest-loss cluster, its own (solo), or
+    the shared one. A failed cluster assignment's error is prefixed by `label`."""
     if config.algorithm == "clustered":
-        return assign_cluster(model_spec, pool, data.features[k], data.labels[k])
+        with _labelled(label):
+            return assign_cluster(model_spec, pool, data.features[k], data.labels[k])
     return k if config.algorithm == "solo" else 0
 
 
@@ -557,10 +568,8 @@ def _fuse_round(config, model_spec, pool, selected, slots, trained, steps, data,
         members.setdefault(j, []).append((k, local_p, s))
     for j in sorted(members):
         pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
-        try:
+        with _labelled(label):
             model_spec.check_finite(pool[j])
-        except NumericError as exc:
-            raise NumericError(f"{label}: {exc}") from exc
 
 
 def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "main") -> Task:
@@ -596,7 +605,7 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
             tuple(range(n)) if algo == "solo"
             else sample_clients(root.substream("sample", t), n, config.sample_rate)
         )
-        slots = [_slot(config, model_spec, pool, data, k) for k in selected]
+        slots = [_slot(config, model_spec, pool, data, k, label) for k in selected]
         starts = [pool[j] for j in slots]
         if heads is not None:
             starts = [_with_head(theta, heads[k], boundary) for k, theta in zip(selected, starts)]
@@ -624,7 +633,8 @@ def _round_loop(config, model_spec, data, test, evaluated: int, name: str = "mai
 
         acc = None
         if t >= config.rounds - evaluated:
-            accs = [evaluate(model_spec, theta, test, test_idx) for theta in pool]
+            with _labelled(label):
+                accs = [evaluate(model_spec, theta, test, test_idx) for theta in pool]
             acc = float(np.mean(accs)) if algo == "solo" else max(accs)
         client_stats = tuple(
             ClientRoundStat(k, data.sizes[k], steps, loss)

@@ -27,6 +27,7 @@ from .federation import (  # noqa: F401
     _ClientData,
     _federation_task,
     _Job,
+    _labelled,
     _lockstep,
     _round_loop,
     _run,
@@ -198,7 +199,8 @@ def _newcomer_task(config, model_spec, partitions, data: _ClientData, test) -> T
     xs = [data.features[position[cid]] for cid in newcomers]
     ys = [data.labels[position[cid]] for cid in newcomers]
     if config.algorithm == "clustered":
-        starts = [pool[assign_cluster(model_spec, pool, x, y)] for x, y in zip(xs, ys)]
+        with _labelled("newcomer assignment"):
+            starts = [pool[assign_cluster(model_spec, pool, x, y)] for x, y in zip(xs, ys)]
     else:
         starts = [pool[0]] * len(newcomers)
     # every newcomer adapts in one stacked call, each on its own substream

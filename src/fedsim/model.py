@@ -521,6 +521,9 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> f
 
     Argmax ties break toward the lowest class id. A `range` of
     consecutive rows inside the set is read as views, with no copy.
+    Non-finite logits raise NumericError naming the first bad parameter
+    segment, else "non-finite logits" (a finite model whose logits
+    overflow).
     """
     if isinstance(index_set, range) and index_set.step == 1 and (
         0 <= index_set.start <= index_set.stop <= data.n_samples
@@ -531,6 +534,12 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, index_set) -> f
         n_rows = rows.size
     if n_rows == 0:
         raise InvalidArgument("index set must be non-empty")
-    _, logits = _forward(spec, _unpack(spec, params), data.features[rows])
+    with np.errstate(all="ignore"):
+        _, logits = _forward(spec, _unpack(spec, params), data.features[rows])
+        # one sum flags a NaN or Inf; a sum that overflows on finite logits
+        # is checked in full
+        if not np.isfinite(np.add.reduce(logits, axis=None)) and not np.isfinite(logits).all():
+            spec.check_finite(params)
+            raise NumericError("non-finite logits")
     pred = np.argmax(logits, axis=1)
     return float(np.mean(pred == data.labels[rows]))

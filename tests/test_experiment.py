@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 import statistics
+import warnings
 from pathlib import Path
 
 import pytest
@@ -264,10 +265,29 @@ class TestCommonRandomNumbers:
             ]
         assert seed_of["c000r0"] != seed_of["c000r1"]
 
-    def test_shared_inputs_match_uncached_runs(self):
+    def test_shared_inputs_match_uncached_runs(self, monkeypatch):
         # every (cell, run) pair of the benchmark's sweep, newcomers included
+        from fedsim import federation, metrics
+
+        assigned = []
+
+        def counted(assign):
+            def counting(*args):
+                assigned.append(args)
+                return assign(*args)
+
+            return counting
+
+        for module in (federation, metrics):
+            monkeypatch.setattr(module, "assign_cluster", counted(module.assign_cluster))
         cfg = config_from_entries(BENCH_SWEEP)
         rows, errors = run_sweep(cfg)
+        # per clustered (cell, run): 10 rounds of 4 main and 3 trainer
+        # clients, then the main federation's 20 clients and the 4
+        # newcomers; the trainer assigns none after its rounds
+        clustered_runs = 2 * cfg.runs  # 2 alphas
+        assert len(assigned) == clustered_runs * (10 * (4 + 3) + 20 + 4) == 376
+        assigned.clear()
         expected: list[ResultRow] = []
         for i, cell in enumerate(sweep_cells(cfg)):
             cell_cfg = apply_cell(cfg, cell)
@@ -279,6 +299,7 @@ class TestCommonRandomNumbers:
             expected += _cell_rows(cell_cfg, i, outcomes)[0]
         assert errors == []
         assert rows == expected
+        assert len(assigned) == 376  # the cells alone assign the same clients
 
     def test_inputs_built_once_per_run_and_partition_spec(self, tmp_path, monkeypatch):
         import fedsim.experiment as experiment
@@ -602,6 +623,33 @@ class TestLockStepSweep:
             f"cell 0 run {r}: main federation fine-tune: non-finite value in segment w"
             for r in range(cfg.runs)
         ]
+
+    def test_overflowing_evaluation_is_an_error_row(self, tmp_path):
+        # at this lr run 0's clusters stay finite, but their logits
+        # overflow when round 2 evaluates them
+        text = TINY + "federation.algorithm = clustered\ntrain.lr = 5e307\n"
+        cfg = load_config(write_config(tmp_path, text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rows, errors = run_sweep(cfg)
+        assert errors == ["cell 0 run 0: main federation round 2: non-finite logits"]
+        assert [r.metric for r in rows if r.run_id == "c000r0"] == ["error"]
+
+    def test_every_divergence_names_its_federation_or_phase(self, tmp_path):
+        text = TINY + (
+            "newcomer = true\ntrain.lr = 5e307\nsweep.algorithm = fedavg,fedavg_ft,clustered\n"
+        )
+        cfg = load_config(write_config(tmp_path, text))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            _, errors = run_sweep(cfg)
+        assert len(errors) == 6  # every run of every cell diverges
+        phase = (
+            r"(main|trainer) federation round \d+|main federation (fine-tune|assignment)"
+            r"|newcomer (fine-tune|assignment)"
+        )
+        for error in errors:
+            assert re.fullmatch(rf"cell \d run \d: ({phase}): non-finite .+", error), error
 
 
 # The entries of the benchmark's sweep workload (perfbench/workloads.py)

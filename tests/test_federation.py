@@ -17,6 +17,7 @@ from fedsim.federation import (
     _fine_tune_data,
     _round_loop,
     _run,
+    assign_cluster,
     fuse_fedavg,
     fuse_fednova,
     participant_count,
@@ -514,9 +515,10 @@ class TestLockStep:
     def test_diverging_trainer_raises_its_own_error(self):
         # Every client holds one batch except one with three. At lr 1e200
         # one step leaves finite parameters and the second overflows, so
-        # only a federation that samples the long client diverges. At seed
-        # 0 the trainer federation samples it in round 0 and the main one
-        # does not.
+        # only a federation that samples the long client diverges in
+        # training. At seed 0 the trainer federation samples it in round 0
+        # and the main one does not. The main one's finite model still
+        # overflows its logits when evaluated.
         seed = 0
         trainers = [k for k in range(10) if k not in newcomer_holdout(seed, 10)]
         long_client = trainers[sample_clients(Rng(seed).substream("sample", 0), 8, 0.2)[0]]
@@ -533,7 +535,9 @@ class TestLockStep:
             local=LocalTrainSpec(epochs=1, batch_size=10),
         )
         with np.errstate(all="ignore"):
-            run_federation(cfg, model, parts, train, test)  # the main federation alone is finite
+            _run(_round_loop(cfg, model, _ClientData(train, parts), test, 0))  # trains finite
+            with pytest.raises(NumericError, match="^main federation round 0: non-finite logits$"):
+                run_federation(cfg, model, parts, train, test)
             with pytest.raises(NumericError) as alone:
                 trainer_alone(cfg, model, parts, train, test)
             with pytest.raises(NumericError) as together:
@@ -680,6 +684,35 @@ class TestEvaluationSchedule:
         assert main.round_logs == main_alone.round_logs
         assert [log.global_accuracy for log in trainer_logs] == [None] * cfg.rounds
         assert trainer_accs is None
+
+
+class TestErrorLabels:
+    """A failed cluster assignment names its federation and its round or phase."""
+
+    @staticmethod
+    def failing_after(n, calls):
+        def assign(*args):
+            calls.append(args)
+            if len(calls) > n:
+                raise NumericError("non-finite loss")
+            return assign_cluster(*args)
+
+        return assign
+
+    def test_assignment_errors_name_their_round_or_phase(self, monkeypatch):
+        train, test, parts, model = small_setup(n_clients=10)
+        cfg = config("clustered", n_clients=10, rounds=2, sample_rate=0.3)
+        # 3 assignments a round; after both rounds, all 10 clients' at the end
+        for n, label in ((3, "main federation round 1"), (6, "main federation assignment")):
+            calls = []
+            monkeypatch.setattr(federation, "assign_cluster", self.failing_after(n, calls))
+            with pytest.raises(NumericError, match=f"^{label}: non-finite loss$"):
+                run_federation(cfg, model, parts, train, test)
+            assert len(calls) == n + 1
+        monkeypatch.setattr(federation, "assign_cluster", assign_cluster)
+        monkeypatch.setattr(metrics, "assign_cluster", self.failing_after(0, []))
+        with pytest.raises(NumericError, match="^newcomer assignment: non-finite loss$"):
+            newcomer_protocol(cfg, model, parts, train, test)
 
 
 class TestFineTune:

@@ -758,6 +758,37 @@ class TestEvaluate:
         with pytest.raises(InvalidArgument):
             evaluate(spec, init_params(spec, Rng(31)), train, range(4, 4))
 
+    @pytest.mark.parametrize("segment, value", [(0, np.nan), (1, np.inf), (3, -np.inf)])
+    def test_non_finite_parameters_name_their_segment(self, segment, value):
+        _, test = balanced_dataset(n_classes=10, per_class=5, n_features=24, seed=32)
+        params = init_params(MLP_10, Rng(3))
+        name, start, _, _ = MLP_10._view_plan[segment]
+        params[start] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=rf"^non-finite value in segment {name}$"):
+                evaluate(MLP_10, params, test, range(test.n_samples))
+
+    def test_finite_model_with_overflowing_logits_raises(self):
+        _, test = balanced_dataset(n_classes=10, per_class=5, n_features=24, seed=32)
+        params = np.full(LOGREG_10.n_params(), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^non-finite logits$"):
+                evaluate(LOGREG_10, params, test, range(test.n_samples))
+
+    def test_finite_logits_whose_sum_overflows_are_scored(self):
+        # every logit is 1e308, so their sum overflows, but none is
+        # non-finite: the argmax ties break to class 0
+        _, test = balanced_dataset(n_classes=10, per_class=5, n_features=24, seed=32)
+        params = np.zeros(LOGREG_10.n_params())
+        _, start, stop, _ = LOGREG_10._view_plan[1]  # b
+        params[start:stop] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = evaluate(LOGREG_10, params, test, range(test.n_samples))
+        assert acc == pytest.approx(0.1)
+
     @pytest.mark.parametrize("spec", [LOGREG_10, MLP_10], ids=lambda s: s.kind)
     def test_range_equals_index_array(self, spec):
         # a range is read as views of the set, an index array as a copy
