@@ -559,7 +559,8 @@ def _fuse(config, theta, members, sizes, scaffold) -> np.ndarray:
 def _fuse_round(config, model_spec, pool, selected, slots, trained, steps, data, scaffold, label):
     """Fuse each pool model that some selected client trained, in place;
     solo's pool becomes the trained rows. A non-finite fused model
-    raises NumericError prefixed by `label`."""
+    raises NumericError prefixed by `label`; numpy's overflow warnings
+    are silenced so that error is the single signal."""
     if config.algorithm == "solo":
         pool[:] = trained
         return
@@ -567,7 +568,8 @@ def _fuse_round(config, model_spec, pool, selected, slots, trained, steps, data,
     for k, j, local_p, s in zip(selected, slots, trained, steps):
         members.setdefault(j, []).append((k, local_p, s))
     for j in sorted(members):
-        pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
+        with np.errstate(all="ignore"):
+            pool[j] = _fuse(config, pool[j], members[j], data.sizes, scaffold)
         with _labelled(label):
             model_spec.check_finite(pool[j])
 

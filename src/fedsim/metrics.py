@@ -215,5 +215,6 @@ def _newcomer_task(config, model_spec, partitions, data: _ClientData, test) -> T
         [root.substream("newcomer-ft", cid) for cid in newcomers],
     )]
     parts = [partitions[position[cid]] for cid in newcomers]
-    per_newcomer = local_test_accuracies(model_spec, dict(zip(newcomers, adapted)), parts, test)
+    with _labelled("newcomer evaluation"):
+        per_newcomer = local_test_accuracies(model_spec, dict(zip(newcomers, adapted)), parts, test)
     return result, float(np.mean([per_newcomer[c] for c in newcomers]))

@@ -635,18 +635,22 @@ class TestLockStepSweep:
         assert errors == ["cell 0 run 0: main federation round 2: non-finite logits"]
         assert [r.metric for r in rows if r.run_id == "c000r0"] == ["error"]
 
-    def test_every_divergence_names_its_federation_or_phase(self, tmp_path):
-        text = TINY + (
-            "newcomer = true\ntrain.lr = 5e307\nsweep.algorithm = fedavg,fedavg_ft,clustered\n"
-        )
-        cfg = load_config(write_config(tmp_path, text))
+    @pytest.mark.parametrize("entries, diverging", [
+        ("newcomer = true\ntrain.lr = 5e307\nsweep.algorithm = fedavg,fedavg_ft,clustered\n", 6),
+        # scaffold's fusion overflows
+        ("train.lr = 5e307\nsweep.algorithm = scaffold,solo\n", 2),
+        # a newcomer's adapted model overflows its logits when scored
+        ("newcomer = true\ntrain.lr = 1e307\nsweep.algorithm = scaffold\n", 1),
+    ])
+    def test_every_divergence_names_its_federation_or_phase(self, tmp_path, entries, diverging):
+        cfg = load_config(write_config(tmp_path, TINY + entries))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             _, errors = run_sweep(cfg)
-        assert len(errors) == 6  # every run of every cell diverges
+        assert len(errors) == diverging
         phase = (
             r"(main|trainer) federation round \d+|main federation (fine-tune|assignment)"
-            r"|newcomer (fine-tune|assignment)"
+            r"|newcomer (fine-tune|assignment|evaluation)"
         )
         for error in errors:
             assert re.fullmatch(rf"cell \d run \d: ({phase}): non-finite .+", error), error

@@ -687,7 +687,8 @@ class TestEvaluationSchedule:
 
 
 class TestErrorLabels:
-    """A failed cluster assignment names its federation and its round or phase."""
+    """A failed cluster assignment or newcomer scoring names its
+    federation and its round or phase."""
 
     @staticmethod
     def failing_after(n, calls):
@@ -713,6 +714,17 @@ class TestErrorLabels:
         monkeypatch.setattr(metrics, "assign_cluster", self.failing_after(0, []))
         with pytest.raises(NumericError, match="^newcomer assignment: non-finite loss$"):
             newcomer_protocol(cfg, model, parts, train, test)
+
+    def test_newcomer_scoring_error_names_its_phase(self, monkeypatch):
+        train, test, parts, model = small_setup(n_clients=10)
+
+        def failing(*args):
+            raise NumericError("non-finite logits")
+
+        # newcomers are scored through metrics.evaluate, the rounds through federation's
+        monkeypatch.setattr(metrics, "evaluate", failing)
+        with pytest.raises(NumericError, match="^newcomer evaluation: non-finite logits$"):
+            newcomer_protocol(config("fedavg", n_clients=10), model, parts, train, test)
 
 
 class TestFineTune:
