@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -286,6 +288,75 @@ class TestCrossMechanismInvariants:
             for pa, pb in zip(a, b):
                 assert np.array_equal(pa.train_indices, pb.train_indices)
                 assert pa.owned_classes == pb.owned_classes
+
+
+# 120 rows in shuffled order, with classes of 1, 2, 5, 20, 40 and 52 rows:
+# the tiny classes send label-skew, label-dir and quantity-dir through
+# their empty-client redraws
+UNEVEN_TRAIN = labels_only_dataset(
+    np.repeat(np.arange(6), [1, 2, 5, 20, 40, 52])[Rng(99).permutation(120)].tolist(), 6
+)
+
+# kind -> (uneven set?, spec) cases, each run at seeds 0, 1 and 2
+GOLDEN_SPECS = {
+    "iid": [(False, PartitionSpec("iid", 7)), (True, PartitionSpec("iid", 9))],
+    "label-skew": [
+        (False, PartitionSpec("label-skew", 20, p=0.2)),
+        (False, PartitionSpec("label-skew", 9, p=0.35)),
+        (True, PartitionSpec("label-skew", 12, p=1 / 6)),
+        (True, PartitionSpec("label-skew", 4, p=1.0)),
+    ],
+    "label-dir": [
+        (False, PartitionSpec("label-dir", 20, alpha=0.1)),
+        (False, PartitionSpec("label-dir", 9, alpha=1.0)),
+        (True, PartitionSpec("label-dir", 15, alpha=0.05)),
+    ],
+    "random-shard": [
+        (False, PartitionSpec("random-shard", 10, shards_per_client=2)),
+        (False, PartitionSpec("random-shard", 8, shards_per_client=5)),
+        (True, PartitionSpec("random-shard", 6, shards_per_client=2)),
+        (True, PartitionSpec("random-shard", 10, shards_per_client=3)),
+    ],
+    "quantity-dir": [
+        (False, PartitionSpec("quantity-dir", 9, alpha=0.5)),
+        (False, PartitionSpec("quantity-dir", 4, alpha=5.0)),
+        (True, PartitionSpec("quantity-dir", 20, alpha=0.1)),
+    ],
+}
+
+
+class TestPartitionGolden:
+    """Pinned partitions of every mechanism.
+
+    Each digest covers every client's id, train indices and owned
+    classes, and the `uniform(4)` drawn right after the call, so it also
+    pins how much of the stream the mechanism consumed. A change to how
+    a mechanism assembles its clients must keep these values; a
+    deliberate change of partitions re-pins them on purpose.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        [
+            ("iid", "d0d38f9ad70b4ee50bb3a976eddc1c8d"),
+            ("label-skew", "8fb49a83872b87e65892f10149db7cac"),
+            ("label-dir", "5b0457771c2dc3395937798430d17ca7"),
+            ("random-shard", "aff99821f4b02ce107a124cf293e91a2"),
+            ("quantity-dir", "48e719bdcb3f4710bc86596e4c4c1649"),
+        ],
+    )
+    def test_partition_digest(self, kind, expected, ten_class_data):
+        h = hashlib.sha256()
+        for uneven, spec in GOLDEN_SPECS[kind]:
+            for seed in range(3):
+                rng = Rng(seed)
+                parts = make_partitions(UNEVEN_TRAIN if uneven else ten_class_data[0], spec, rng)
+                for p in parts:
+                    h.update(np.array([p.client_id, p.n_train], dtype=np.int64).tobytes())
+                    h.update(p.train_indices.tobytes())
+                    h.update(np.array(sorted(p.owned_classes), dtype=np.int64).tobytes())
+                h.update(rng.uniform(4).tobytes())
+        assert h.hexdigest()[:32] == expected
 
 
 # each kind's level parameter, two values apiece
