@@ -1,9 +1,11 @@
 """Client data partitioning: IID plus four Non-IID mechanisms.
 
-Every mechanism produces an exact cover of the train index range:
-client index sets are pairwise disjoint and their union is the full
-dataset. Clients that would end up empty are repaired by redrawing
-their randomness a bounded number of times.
+Every mechanism states its result as one int64 array `owner` that holds
+the client id of every train row, and `_build` turns that array into
+the client partitions. Each partition is therefore an exact cover of
+the train index range: client index sets are pairwise disjoint and
+their union is the full dataset. Clients that would end up empty are
+repaired by redrawing their randomness a bounded number of times.
 """
 
 from __future__ import annotations
@@ -99,11 +101,14 @@ class ClientPartition:
         return int(self.train_indices.size)
 
 
-def _build(train: Dataset, assignment: list[np.ndarray]) -> list[ClientPartition]:
+def _build(train: Dataset, owner: np.ndarray, n: int) -> list[ClientPartition]:
+    """Partitions of clients 0..n-1 from the owning client of every train row."""
+    rows = np.argsort(owner, kind="stable")  # by client, ascending within each
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
     parts = []
-    for cid, idx in enumerate(assignment):
-        owned = frozenset(int(c) for c in np.unique(train.labels[idx]))
-        parts.append(ClientPartition(cid, idx, owned))
+    for cid, (start, end) in enumerate(zip([0, *ends], ends)):
+        idx = rows[start:end]
+        parts.append(ClientPartition(cid, idx, np.unique(train.labels[idx])))
     return parts
 
 
@@ -135,13 +140,9 @@ def largest_remainder_counts(shares: np.ndarray, total: int) -> np.ndarray:
     deficit = total - int(base.sum())
     if deficit < 0:
         # floor epsilon overshot; trim from the largest remainders' complement
-        order = np.lexsort((np.arange(len(base)), raw - base))
-        for i in order[: -deficit]:
-            base[i] -= 1
-        deficit = 0
-    if deficit > 0:
-        order = np.lexsort((np.arange(len(base)), -(raw - base)))
-        base[order[:deficit]] += 1
+        base[np.lexsort((np.arange(len(base)), raw - base))[:-deficit]] -= 1
+    elif deficit > 0:
+        base[np.lexsort((np.arange(len(base)), -(raw - base)))[:deficit]] += 1
     return base
 
 
@@ -151,15 +152,11 @@ def partition_iid(train: Dataset, n: int, rng: Rng) -> list[ClientPartition]:
     if n > total:
         raise InvalidArgument(f"cannot split {total} samples across {n} clients")
     perm = rng.permutation(total)
-    base = total // n
-    sizes = np.full(n, base, dtype=np.int64)
+    sizes = np.full(n, total // n, dtype=np.int64)
     sizes[: total % n] += 1
-    assignment = []
-    start = 0
-    for size in sizes:
-        assignment.append(perm[start : start + size])
-        start += size
-    return _build(train, assignment)
+    owner = np.empty(total, dtype=np.int64)
+    owner[perm] = np.repeat(np.arange(n), sizes)
+    return _build(train, owner, n)
 
 
 def classes_per_client(p: float, n_classes: int) -> int:
@@ -190,10 +187,10 @@ def partition_label_skew(
     owned = [set(rng.sample_without_replacement(k, cpc).tolist()) for _ in range(n)]
     for _ in range(_MAX_REPAIR):
         _repair_class_coverage(owned, k, rng)
-        assignment = _split_classes_among_owners(class_indices, owned, n, rng)
-        empties = [i for i, idx in enumerate(assignment) if idx.size == 0]
-        if not empties:
-            return _build(train, assignment)
+        owner = _split_classes_among_owners(class_indices, owned, n, rng)
+        empties = np.nonzero(np.bincount(owner, minlength=n) == 0)[0]
+        if empties.size == 0:
+            return _build(train, owner, n)
         # a client can come up empty only when its classes have more
         # owners than samples; redraw just that client's class set
         for i in empties:
@@ -227,24 +224,18 @@ def _repair_class_coverage(owned: list[set[int]], k: int, rng: Rng) -> None:
 
 def _split_classes_among_owners(
     class_indices: list[np.ndarray], owned: list[set[int]], n: int, rng: Rng
-) -> list[np.ndarray]:
-    per_client: list[list[np.ndarray]] = [[] for _ in range(n)]
+) -> np.ndarray:
+    """Owner array giving each class's shuffled rows to its owners in a
+    random order, the first `extra` of them one row more than the rest.
+    Every class has an owner: `_repair_class_coverage` runs first."""
+    owner = np.empty(sum(idx.size for idx in class_indices), dtype=np.int64)
     for c, idx in enumerate(class_indices):
-        owners = sorted(i for i in range(n) if c in owned[i])
-        if not owners:
-            continue
+        owners = np.array([i for i in range(n) if c in owned[i]])
         shuffled = idx[rng.permutation(idx.size)]
-        order = rng.permutation(len(owners))
-        base, extra = divmod(idx.size, len(owners))
-        start = 0
-        for rank, pos in enumerate(order):
-            size = base + (1 if rank < extra else 0)
-            per_client[owners[pos]].append(shuffled[start : start + size])
-            start += size
-    return [
-        np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-        for chunks in per_client
-    ]
+        order = rng.permutation(owners.size)
+        base, extra = divmod(idx.size, owners.size)
+        owner[shuffled] = np.repeat(owners[order], base + (np.arange(owners.size) < extra))
+    return owner
 
 
 def partition_label_dir(
@@ -261,23 +252,19 @@ def partition_label_dir(
     k = train.n_classes
     vectors = np.vstack([dirichlet_sample(rng, alpha, k) for _ in range(n)])
     class_indices = [np.nonzero(train.labels == c)[0] for c in range(k)]
-    shuffles = [idx[rng.permutation(idx.size)] for idx in class_indices]
+    rows = np.concatenate([idx[rng.permutation(idx.size)] for idx in class_indices])
 
     for _ in range(_MAX_REPAIR):
-        counts = np.zeros((n, k), dtype=np.int64)
-        for c in range(k):
-            counts[:, c] = largest_remainder_counts(vectors[:, c], class_indices[c].size)
-        empties = np.nonzero(counts.sum(axis=1) == 0)[0]
+        # counts[c, i]: how many of class c's rows client i gets
+        counts = np.array([
+            largest_remainder_counts(vectors[:, c], idx.size) for c, idx in enumerate(class_indices)
+        ])
+        empties = np.nonzero(counts.sum(axis=0) == 0)[0]
         if empties.size == 0:
-            assignment: list[list[np.ndarray]] = [[] for _ in range(n)]
-            for c in range(k):
-                start = 0
-                for i in range(n):
-                    size = int(counts[i, c])
-                    if size:
-                        assignment[i].append(shuffles[c][start : start + size])
-                    start += size
-            return _build(train, [np.concatenate(a) for a in assignment])
+            # class by class, the shuffled rows go to clients 0..n-1 in turn
+            owner = np.empty(rows.size, dtype=np.int64)
+            owner[rows] = np.repeat(np.tile(np.arange(n), k), counts.ravel())
+            return _build(train, owner, n)
         for i in empties:
             vectors[i] = dirichlet_sample(rng, alpha, k)
     raise PartitionError("label-dir repair failed after 100 redraws")
@@ -307,12 +294,11 @@ def partition_random_shard(
     shard_size = total // n_shards
     order = np.argsort(train.labels, kind="stable")
     deal = rng.permutation(n_shards)
-    assignment = []
-    for i in range(n):
-        mine = deal[i * shards_per_client : (i + 1) * shards_per_client]
-        chunks = [order[s * shard_size : (s + 1) * shard_size] for s in mine]
-        assignment.append(np.concatenate(chunks))
-    return _build(train, assignment)
+    # client i is dealt shards deal[i * spc : (i + 1) * spc], so shard s
+    # goes to client argsort(deal)[s] // spc
+    owner = np.empty(total, dtype=np.int64)
+    owner[order] = np.repeat(np.argsort(deal) // shards_per_client, shard_size)
+    return _build(train, owner, n)
 
 
 def partition_quantity_dir(
@@ -336,13 +322,9 @@ def partition_quantity_dir(
         counts = largest_remainder_counts(gammas, total)
         zeros = np.nonzero(counts == 0)[0]
         if zeros.size == 0:
-            perm = rng.permutation(total)
-            assignment = []
-            start = 0
-            for size in counts:
-                assignment.append(perm[start : start + int(size)])
-                start += int(size)
-            return _build(train, assignment)
+            owner = np.empty(total, dtype=np.int64)
+            owner[rng.permutation(total)] = np.repeat(np.arange(n), counts)
+            return _build(train, owner, n)
         for i in zeros:
             gammas[i] = rng.gamma(alpha)
     raise PartitionError("quantity-dir repair failed after 100 redraws")
