@@ -12,6 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .core import hash64
 from .errors import ConfigError, FedsimError
 from .experiment import (
@@ -88,9 +90,8 @@ def cmd_partition(args: argparse.Namespace) -> int:
 def _class_histogram_lines(parts, train) -> list[str]:
     lines = []
     for p in parts:
-        labels = train.labels[p.train_indices]
-        counts = {int(c): int((labels == c).sum()) for c in sorted(set(labels.tolist()))}
-        body = ";".join(f"{c}:{n}" for c, n in counts.items())
+        classes, counts = np.unique(train.labels[p.train_indices], return_counts=True)
+        body = ";".join(f"{c}:{n}" for c, n in zip(classes.tolist(), counts.tolist()))
         lines.append(f"client,{p.client_id},hist,{body}")
     return lines
 

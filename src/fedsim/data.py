@@ -93,8 +93,8 @@ class SyntheticSpec:
 def class_centroids(spec: SyntheticSpec) -> np.ndarray:
     """Deterministic (n_classes, n_features) centroid matrix."""
     c = np.zeros((spec.n_classes, spec.n_features))
-    for k in range(spec.n_classes):
-        c[k, k % spec.n_features] = spec.separation
+    k = np.arange(spec.n_classes)
+    c[k, k % spec.n_features] = spec.separation
     return np.clip(c, 0.0, 1.0)
 
 
