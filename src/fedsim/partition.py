@@ -225,9 +225,10 @@ def _repair_class_coverage(owned: list[set[int]], k: int, rng: Rng) -> None:
 def _split_classes_among_owners(
     class_indices: list[np.ndarray], owned: list[set[int]], n: int, rng: Rng
 ) -> np.ndarray:
-    """Owner array giving each class's shuffled rows to its owners in a
-    random order, the first `extra` of them one row more than the rest.
-    Every class has an owner: `_repair_class_coverage` runs first."""
+    """Owner array splitting each class's shuffled rows among its owners,
+    taken in a random order, with sizes that differ by at most 1 (the
+    earlier owners get the larger). Every class has an owner:
+    `_repair_class_coverage` runs first."""
     owner = np.empty(sum(idx.size for idx in class_indices), dtype=np.int64)
     for c, idx in enumerate(class_indices):
         owners = np.array([i for i in range(n) if c in owned[i]])
