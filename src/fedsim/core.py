@@ -195,6 +195,17 @@ class Rng:
             self._pos -= len(words) - used
         return np.array(arr, dtype=np.int64)
 
+    def shuffles(self, n: int, count: int) -> np.ndarray:
+        """`count` shuffles of range(n), as the rows of a (count, n) array.
+
+        One read of count * n raw words, n per row: row e is the stable
+        argsort of its n words. The order of 64-bit words is uniform over
+        all n! orders up to ties, and a tie keeps the lower index first,
+        so the result is a function of the words alone, whatever
+        algorithm numpy sorts them with.
+        """
+        return np.argsort(self._raw(count * n).reshape(count, n), axis=1, kind="stable")
+
     def permutations(self, n: int, count: int) -> Iterator[np.ndarray]:
         """`count` successive `permutation(n)` draws, each made when the
         caller takes it.

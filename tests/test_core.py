@@ -11,6 +11,16 @@ from fedsim.errors import IncompatibleShape, InvalidArgument
 from fedsim.federation import fuse_fedavg
 
 
+def assert_chi_square_uniform(counts: np.ndarray, df: int) -> None:
+    """Pearson's statistic of counts that should be equal, within the
+    two-sided 1e-6 tails of chi-square with `df` degrees of freedom, by
+    the Wilson-Hilferty normal approximation."""
+    expected = counts.sum() / counts.size
+    stat = float(((counts - expected) ** 2).sum() / expected)
+    z = ((stat / df) ** (1 / 3) - (1 - 2 / (9 * df))) / math.sqrt(2 / (9 * df))
+    assert abs(z) < 4.9, f"chi-square {stat:.1f} on {df} degrees of freedom (z = {z:.2f})"
+
+
 class TestRng:
     def test_same_seed_bit_identical_million_draws(self):
         a = Rng(987654321).uniform(10**6)
@@ -69,6 +79,25 @@ class TestRng:
         long.permutations(100, 20)
         assert len(long._buf) <= Rng._BLOCK
 
+    @pytest.mark.parametrize(
+        "n, draws", [(2, 20_000), (3, 20_000), (5, 20_000), (20, 5_000), (100, 2_000)]
+    )
+    def test_shuffle_positions_are_uniform(self, n, draws):
+        # counts[i, v]: how many of the shuffles hold v at position i;
+        # every row and column sums to `draws`
+        rows = Rng(77, n).shuffles(n, draws)
+        counts = np.zeros((n, n))
+        np.add.at(counts, (np.broadcast_to(np.arange(n), rows.shape), rows), 1)
+        assert_chi_square_uniform(counts, (n - 1) ** 2)
+
+    def test_shuffle_orders_are_uniform(self):
+        # all 24 orders of 4 items, each row read as a base-4 number
+        rows = Rng(78).shuffles(4, 48_000)
+        counts = np.bincount(rows @ 4 ** np.arange(4), minlength=4**4)
+        counts = counts[counts > 0]
+        assert counts.size == 24
+        assert_chi_square_uniform(counts, 23)
+
     def test_substream_reproducible(self):
         a = Rng(7).substream("client", 3, 9).uniform(16)
         b = Rng(7).substream("client", 3, 9).uniform(16)
@@ -113,8 +142,9 @@ class TestRngStreamGolden:
 
     Every digest also covers the `uniform(8)` drawn right after the call,
     so it pins how many raw words the call consumed, not just its result.
-    Any change to how permutations and samples read the stream must keep
-    these values; a deliberate change of stream re-pins them on purpose.
+    Any change to how permutations, shuffles and samples read the stream
+    must keep these values; a deliberate change of stream re-pins them on
+    purpose.
     """
 
     @pytest.mark.parametrize(
@@ -175,6 +205,29 @@ class TestRngStreamGolden:
         r.uniform(skip)
         assert _stream_digest(r.permutation(n).astype(np.int64), r.uniform(8)) == expected
 
+    @pytest.mark.parametrize(
+        "n, count, expected",
+        [
+            (20, 0, "1d6637f37d97bef3b8b6c25cd7d45aae"),
+            (0, 5, "c862e4fcb444c300cb113593c88ec186"),
+            (1, 5, "cea0217cfcd83b5ec4b3a3eb49f10bb6"),
+            (20, 5, "065dc03a9611990254975500f0fb2013"),
+            (100, 10, "e1b328b524b12629f2af9c835c9508a3"),
+        ],
+    )
+    def test_shuffles(self, n, count, expected):
+        r = Rng(2024, 1000 + n)
+        assert _stream_digest(r.shuffles(n, count).astype(np.int64), r.uniform(8)) == expected
+
+    def test_shuffles_across_buffer_refill(self):
+        # a 4-word first refill, then a 1024-word block of which the
+        # shuffles read the last 27 words and 73 words of the next block
+        r = Rng(9)
+        r.uniform(1)
+        r.uniform(1000)
+        got = _stream_digest(r.shuffles(20, 5).astype(np.int64), r.uniform(8))
+        assert got == "1e914d5890cd4fc5a01498b119c40840"
+
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32),
@@ -201,6 +254,24 @@ class TestRngStreamGolden:
         assert np.array_equal(bulk.permutation(n), perm)
         assert np.array_equal(bulk.sample_without_replacement(n, k), np.sort(pool[:k]))
         assert np.array_equal(bulk.uniform(8), ref.uniform(8))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        stream=st.integers(0, 2**64 - 1),
+        skip=st.integers(0, 2100),
+        n=st.integers(0, 120),
+        count=st.integers(0, 25),
+    )
+    def test_shuffles_sort_the_words_of_one_philox_stream(self, seed, stream, skip, n, count):
+        """However the reads fall on buffer refills, the shuffles sort the
+        words a Philox keyed (seed, stream) yields in one call."""
+        r = Rng(seed, stream)
+        r.uniform(skip)
+        words = np.random.Philox(key=seed | stream << 64).random_raw(skip + n * count + 8)
+        expected = np.argsort(words[skip : skip + n * count].reshape(count, n), axis=1, kind="stable")
+        assert np.array_equal(r.shuffles(n, count), expected)
+        assert np.array_equal(r._raw(8), words[-8:])
 
     def test_interleaved_calls(self):
         r = Rng(13)
