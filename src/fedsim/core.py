@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
-
 import numpy as np
 
 from .errors import InvalidArgument, NumericError
@@ -68,6 +66,10 @@ class Rng:
     each refill re-keys one shared generator to that point. fedsim runs
     in one thread, and each process has its own generator; instances
     must not refill from several threads at once.
+
+    Two draws shuffle: `permutation`, a rejection-sampled Fisher-Yates
+    swap by swap, which the partitions use, and `shuffles`, one sort of
+    raw words per call, which gives a training client all its epochs.
     """
 
     _BLOCK = 1024
@@ -167,7 +169,7 @@ class Rng:
         return out
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates permutation of range(n).
+        """Fisher-Yates permutation of range(n), for the partitions.
 
         The draws are randbelow(n), randbelow(n - 1), ..., randbelow(2),
         read from the raw words as `_below_descending` reads them, with
@@ -205,21 +207,6 @@ class Rng:
         algorithm numpy sorts them with.
         """
         return np.argsort(self._raw(count * n).reshape(count, n), axis=1, kind="stable")
-
-    def permutations(self, n: int, count: int) -> Iterator[np.ndarray]:
-        """`count` successive `permutation(n)` draws, each made when the
-        caller takes it.
-
-        A fresh stream first buffers, in one refill, the words that
-        `permutation` asks for at first, `count` times over, up to a
-        block: usually every word the draws read. They read the same
-        words either way.
-        """
-        if not self._blocks:
-            self._raw(min(count * (n + n // 2 + 8), self._BLOCK))
-            self._pos = 0  # hand every word back, unread
-        for _ in range(count):
-            yield self.permutation(n)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct values from range(n), sorted ascending."""

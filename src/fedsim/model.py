@@ -369,8 +369,8 @@ def _local_train(
     """Train m clients, each from its own start, by E epochs of batched SGD with momentum.
 
     Client k trains a copy of `starts[k]` on `features[k]`, `labels[k]`.
-    Each of its epochs draws a shuffle from `rngs[k]` and splits it into
-    batches of `batch_size`; the short remainder batch is kept. Its loss
+    Each of its epochs takes a shuffle drawn from `rngs[k]` and splits it
+    into batches of `batch_size`; the short remainder batch is kept. Its loss
     carries FedProx's proximal pull toward its start with weight
     `prox_mus[k]` when that list is given; a weight of 0 adds none.
     `grad_offsets[k]`, when the list is given and the entry is not None,
@@ -383,14 +383,13 @@ def _local_train(
     The whole call is laid out before its first step. The clients' rows
     sit one after another in one array, followed by one zero row. Each
     client draws all E of its shuffles from its own `Rng` up front, in
-    epoch order: these are the words the epoch-by-epoch draws would
-    read, because nothing else draws from a client's stream during the
-    call. With the internal `shuffles` memo, the shuffles of a client
-    whose `Rng` has read no word are fixed by its key (seed, stream, n,
-    E): when the memo holds that key they are copied from it and the
-    `Rng` is left unread (callers pass fresh substreams and draw no more
-    from them), and otherwise they are drawn and stored there as an
-    (E, n) int32 array, read-only. Any other `Rng` draws as without a
+    one `Rng.shuffles` call: its next n * E raw words, of which epoch e
+    sorts the e-th n. With the internal `shuffles` memo, the shuffles of
+    a client whose `Rng` has read no word are fixed by its key (seed,
+    stream, n, E): when the memo holds that key they are copied from it
+    and the `Rng` is left unread (callers pass fresh substreams and draw
+    no more from them), and otherwise they are drawn and stored there as
+    an (E, n) int32 array, read-only. Any other `Rng` draws as without a
     memo. The shuffles fill one row-index schedule in which client i
     has E epochs, each padded to whole batches with slots that point at
     the zero row, so its batch at step s is the `batch_size` slots at
@@ -457,8 +456,7 @@ def _local_train(
         if fresh and key in shuffles:
             epochs[:, :n] = shuffles[key]
         else:
-            for epoch, shuffle in zip(epochs, rng.permutations(n, train.epochs)):
-                epoch[:n] = shuffle
+            epochs[:, :n] = rng.shuffles(n, train.epochs)
             if fresh:
                 shuffles[key] = drawn = epochs[:, :n].copy()
                 drawn.setflags(write=False)

@@ -58,26 +58,30 @@ class TestRng:
         assert len(seen) == 400
 
     @pytest.mark.parametrize("n, count", [(1, 3), (20, 5), (100, 1), (100, 20), (700, 2)])
-    def test_permutations_read_the_words_of_successive_permutations(self, n, count):
-        one_by_one, together = Rng(3, 11), Rng(3, 11)
-        expected = [one_by_one.permutation(n) for _ in range(count)]
-        got = together.permutations(n, count)
-        assert [p.tolist() for p in got] == [p.tolist() for p in expected]
+    def test_shuffles_read_count_times_n_words(self, n, count):
+        rng, twin = Rng(3, 11), Rng(3, 11)
+        got = rng.shuffles(n, count)
+        words = twin._raw(n * count).reshape(count, n)
+        assert got.shape == (count, n)
+        assert all(sorted(row) == list(range(n)) for row in got.tolist())
+        # row e lists the positions of the e-th n words in ascending order
+        assert np.all(np.diff(np.take_along_axis(words, got, axis=1), axis=1) > 0)
         # both streams go on from the same word
-        assert together.uniform(5).tolist() == one_by_one.uniform(5).tolist()
+        assert rng.uniform(5).tolist() == twin.uniform(5).tolist()
 
     def test_fresh_stream_refills_only_what_it_asks_for(self):
         # a short substream buffers the words its first request asks for,
         # not a whole block; later refills take whole blocks again
         rng = Rng(5).substream("client", 0, 0)
-        rng.permutations(20, 5)
-        assert len(rng._buf) < Rng._BLOCK // 4
+        rng.shuffles(20, 5)
+        assert len(rng._buf) == 100
         rng.uniform(Rng._BLOCK)
         assert len(rng._buf) >= Rng._BLOCK
-        # a long first request buffers no more than a block
+        # a long first request buffers just its words, rounded up to whole
+        # 4-word Philox blocks
         long = Rng(5).substream("client", 1, 0)
-        long.permutations(100, 20)
-        assert len(long._buf) <= Rng._BLOCK
+        long.shuffles(7, 300)
+        assert len(long._buf) == 2100
 
     @pytest.mark.parametrize(
         "n, draws", [(2, 20_000), (3, 20_000), (5, 20_000), (20, 5_000), (100, 2_000)]

@@ -625,9 +625,9 @@ class TestLockStepSweep:
         ]
 
     def test_overflowing_evaluation_is_an_error_row(self, tmp_path):
-        # at this lr run 0's clusters stay finite, but their logits
-        # overflow when round 2 evaluates them
-        text = TINY + "federation.algorithm = clustered\ntrain.lr = 5e307\n"
+        # at this lr and seed run 0's clusters stay finite, but their
+        # logits overflow when round 2 evaluates them
+        text = TINY + "federation.algorithm = clustered\ntrain.lr = 5e307\nseed = 11\n"
         cfg = load_config(write_config(tmp_path, text))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -638,9 +638,9 @@ class TestLockStepSweep:
     @pytest.mark.parametrize("entries, diverging", [
         ("newcomer = true\ntrain.lr = 5e307\nsweep.algorithm = fedavg,fedavg_ft,clustered\n", 6),
         # scaffold's fusion overflows
-        ("train.lr = 5e307\nsweep.algorithm = scaffold,solo\n", 2),
+        ("train.lr = 5e307\nseed = 19\nsweep.algorithm = scaffold,solo\n", 2),
         # a newcomer's adapted model overflows its logits when scored
-        ("newcomer = true\ntrain.lr = 1e307\nsweep.algorithm = scaffold\n", 1),
+        ("newcomer = true\nseed = 18\ntrain.lr = 1e307\nsweep.algorithm = scaffold\n", 1),
     ])
     def test_every_divergence_names_its_federation_or_phase(self, tmp_path, entries, diverging):
         cfg = load_config(write_config(tmp_path, TINY + entries))

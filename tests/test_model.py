@@ -126,8 +126,7 @@ def reference_train(spec, params, x, y, local, opt, rng, offset, padded, prox_mu
     vel = np.zeros_like(theta)
     anchor = params if prox_mu > 0.0 else None
     losses = []
-    for _ in range(local.epochs):
-        order = rng.permutation(len(y))
+    for order in rng.shuffles(len(y), local.epochs):
         for start in range(0, len(y), local.batch_size):
             idx = order[start : start + local.batch_size]
             if padded:
@@ -617,8 +616,7 @@ class TestStacking:
         assert str(err.value) == str(failures[3])
 
     def test_each_stream_ends_after_its_epoch_shuffles(self):
-        # the shuffles are drawn at call start, yet each client's stream
-        # ends where E epoch-by-epoch permutation draws leave it
+        # each client's stream ends after the n * E words of its shuffles
         sizes, epochs = [7, 23, 10], 3
         spec, data, starts, _ = self._clients(sizes, "mlp", 10, False, 5)
         rngs = [Rng(5, 300 + k) for k in range(len(sizes))]
@@ -628,8 +626,7 @@ class TestStacking:
         )
         for k, n in enumerate(sizes):
             fresh = Rng(5, 300 + k)
-            for _ in range(epochs):
-                fresh.permutation(n)
+            fresh.shuffles(n, epochs)
             assert rngs[k].uniform() == fresh.uniform(), f"client {k} (n={n})"
 
     def test_empty_client_rejected(self):
@@ -692,7 +689,7 @@ class TestShuffleMemo:
         assert list(memo) == [(3, 300, 20, 1), (3, 300, 7, 1), (3, 300, 7, 2)]
         for (seed, stream, n, epochs), shuffles in memo.items():
             fresh = Rng(seed, stream)
-            drawn = [fresh.permutation(n) for _ in range(epochs)]
+            drawn = fresh.shuffles(n, epochs)
             assert shuffles.dtype == np.int32 and not shuffles.flags.writeable
             assert np.array_equal(shuffles, drawn)
 
