@@ -33,53 +33,51 @@ from fedsim.experiment import config_from_entries, run_single
 #   (digest, gfl, pfl, fairness, newcomer, per-client accuracy hash, window)
 GOLDEN = {
     ("gfl2", "fedavg", 7): (
-        "5a0270285ff3d1624e55e5126c57850d27e2cd418e61567829ac5d19c5db2ec7",
-        0.1059375, None, None, 0.08569318753142283, None, 4,
+        "c52ed793d0622982226c7dd97346b30c53990344b4ba5e3194489f92cf6c34c0",
+        0.10593749999999999, None, None, 0.07686965811965812, None, 4,
     ),
     ("gfl2", "fedprox", 7): (
-        "35df08b472d9a06a7b7319c10050fa69128cb50cb6cdae87f72789f02628df5e",
-        0.1059375, None, None, 0.08569318753142283, None, 4,
+        "062e03e172b4be2770d59812b04ccbacc7255f8225752fe47f54cb22dace4b72",
+        0.10593749999999999, None, None, 0.07686965811965812, None, 4,
     ),
     ("gfl2", "fednova", 7): (
-        "362ba31517304d086d0d5811dc2db6331f422e0e0be6863697bb2e5c8d52963b",
-        0.08625, None, None, 0.0853255404725993, None, 4,
+        "c7e387365df9a70b62ec012aac875d0a3b5687449a9e9cd6fcf22acf6226ea37",
+        0.090625, None, None, 0.08017848164906989, None, 4,
     ),
     ("gfl2", "scaffold", 7): (
-        "5a78d353a64e1f87dfd02ef7a2de22f4662378f93bbb639c8249c6215c5317ea",
-        0.09343749999999999, None, None, 0.07503142282554048, None, 4,
+        "274475fba061edf20ac1438765f012d8c0c6bf14b17cdb2bfdc75c4e22b64217",
+        0.1021875, None, None, 0.06878142282554048, None, 4,
     ),
     ("gfl2", "fedavg_ft", 7): (
-        "87431a50a45d6a2752718ff5f8fe58a8492055a13ba40e5c15be9e3f34caecfc",
-        0.1059375, 0.08158448062085832, 2.630895417126987, 0.08569318753142283,
-        "8be5cf67e6e4bc70", 4,
+        "052a09ff5679245ca7734e7181e58da3cf2e90c65b9bc63ac56e0d460f6a52ba",
+        0.10593749999999999, 0.07589524338750345, 2.3450509375897535, 0.07686965811965812,
+        "a6b6cb1d402f8528", 4,
     ),
     ("gfl2", "decoupled", 7): (
-        "185deab4a075e95c15ba052f4aab729d697d5d0689e1067fcdf652934dd930ca",
-        0.060937500000000006, 0.07758098819824825, 2.185342972185103, 0.07944318753142282,
-        "40f604251b9b7bef", 4,
+        "fc64c8a10d98ce0faf81e3e717d06f1c23687eef3f848fc8c993d5ca11a9caa7",
+        0.0640625, 0.0804270432869504, 2.52331797898352, 0.0676784816490699,
+        "7438c1c2e5f0a3d8", 4,
     ),
     ("gfl2", "clustered", 7): (
-        "9c57ca5cc6959ae704fa5aea0df2a1f8dcf8757c275f86dbb115b40f500fb3b2",
-        0.081875, 0.07411021898637997, 3.1960849830689897, 0.0755121920563097,
-        "0d84b71db4c6e017", 4,
+        "10ff244926e3eb3409ce7d42396667fc7604be45719ff206f0b4e4e5fc03aa76",
+        0.09593750000000001, 0.0821652795733678, 3.2723954533621002, 0.07701106083459025,
+        "1c7aba4ea0b0c255", 4,
     ),
     ("gfl2", "solo", 7): (
-        "015d0c14f2de8d41c48067e6d126299240ce5c6a869667272bd1d810e0a26801",
-        0.06528125000000001, 0.09535552340031829, 3.465237683872081, None,
-        "4eb12aacc7555426", 4,
+        "fa3d86342d0a7a7dc4ded84a8bb587086ff04a0137943db0f1dc7058c9e7ee1f",
+        0.066859375, 0.09599155487937415, 3.582284506279189, None, "be3b0b99d1a8ec15", 4,
     ),
     ("pfl2", "fedavg_ft", 7): (
-        "5be4d4e09e006b96be2dc7141b07ac3e821c1030a77a5afacebf677e6a766174",
-        0.201875, 0.5282931547619047, 7.308382399527637, None,
-        "24dc4924d3b196bf", 4,
+        "7f6f211c68add80bc12c7c309de96064f3b80f023f98da2383936b4333e3d44c",
+        0.2046875, 0.5242986111111112, 7.550693466862142, None, "7aa0689f44f4eacf", 4,
     ),
     ("gfl1", "fedavg", 7): (
-        "f879bf32aee0320790ddc86311504cb3e086d9be7e58715c31a3e2f75e594d36",
-        0.14075000000000001, None, None, None, None, 10,
+        "b8e0e7b013b47a2af5ffd38f01bfe725de21d3b08932c87b1f0900bf04cc3417",
+        0.11474999999999999, None, None, None, None, 10,
     ),
     ("pfl1", "fedavg_ft", 7): (
-        "d8a7d4db5e925e7c1aba8f02342d914f50e9f503fab23a3bc27f5da17575bac7",
-        0.17225000000000001, 0.6855, 12.841782932633961, None, "652ac367db7494a0", 10,
+        "7c4186bf69fe6a4bf0dfa3c69323fac4797b9cf19f0550391047ddf7ec3423de",
+        0.17075, 0.6673333333333333, 12.71519213819088, None, "c5a0d5927d5ed595", 10,
     ),
 }
 
@@ -135,7 +133,7 @@ SETTING_CASES = (
     ("fedprox", {"algo.mu": "0.05"}),
     ("solo", {"federation.sample_rate": "0.1"}),
 )
-SETTINGS_GOLDEN = "49ae34cf687f43d3208f319f975cb8a6a257ed731d35f2af2dbae61d80de1a33"
+SETTINGS_GOLDEN = "abaa0db5b850c7957580626e2279a618d59045c9aaf5078b83e02b4468933c38"
 
 
 def test_golden_settings():
