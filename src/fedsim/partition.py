@@ -10,7 +10,6 @@ repaired by redrawing their randomness a bounded number of times.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -101,14 +100,40 @@ class ClientPartition:
         return int(self.train_indices.size)
 
 
+def _normalized(
+    client_id: int,
+    train_indices: np.ndarray,
+    owned_classes: frozenset[int],
+    test_indices: np.ndarray | None = None,
+) -> ClientPartition:
+    """A partition of fields already in the form `__post_init__` gives
+    them (ascending read-only int64 train indices, a frozenset of ints,
+    read-only int64 test indices or None), made without normalizing
+    them again."""
+    part = object.__new__(ClientPartition)
+    part.__dict__.update(
+        client_id=client_id,
+        train_indices=train_indices,
+        owned_classes=owned_classes,
+        test_indices=test_indices,
+    )
+    return part
+
+
 def _build(train: Dataset, owner: np.ndarray, n: int) -> list[ClientPartition]:
-    """Partitions of clients 0..n-1 from the owning client of every train row."""
-    rows = np.argsort(owner, kind="stable")  # by client, ascending within each
+    """Partitions of clients 0..n-1 from the owning client of every train row.
+
+    Each client's train indices are a read-only view of one stable
+    argsort by owner, so they are ascending as they are cut. Every
+    mechanism gives each client a row before it calls this.
+    """
+    rows = np.argsort(owner, kind="stable").astype(np.int64, copy=False)
+    rows.setflags(write=False)
     ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
     parts = []
     for cid, (start, end) in enumerate(zip([0, *ends], ends)):
         idx = rows[start:end]
-        parts.append(ClientPartition(cid, idx, np.unique(train.labels[idx])))
+        parts.append(_normalized(cid, idx, frozenset(np.unique(train.labels[idx]).tolist())))
     return parts
 
 
@@ -118,13 +143,19 @@ def attach_local_tests(
     """Fill each partition's test indices per the owned-class rule.
 
     Each distinct owned-class set's indices are computed once, and the
-    clients that own that set share the one read-only array.
+    clients that own that set share the one read-only array. The other
+    fields are taken over as they are: a partition's fields are
+    normalized when it is made.
     """
     shared: dict[frozenset[int], np.ndarray] = {}
     for p in partitions:
         if p.owned_classes not in shared:
-            shared[p.owned_classes] = allocate_local_test(global_test, p.owned_classes)
-    return [dataclasses.replace(p, test_indices=shared[p.owned_classes]) for p in partitions]
+            test = shared[p.owned_classes] = allocate_local_test(global_test, p.owned_classes)
+            test.setflags(write=False)
+    return [
+        _normalized(p.client_id, p.train_indices, p.owned_classes, shared[p.owned_classes])
+        for p in partitions
+    ]
 
 
 def largest_remainder_counts(shares: np.ndarray, total: int) -> np.ndarray:
