@@ -167,13 +167,12 @@ def largest_remainder_counts(shares: np.ndarray, total: int) -> np.ndarray:
     if not shares.sum() > 0.0:
         raise InvalidArgument("shares must have a positive sum")
     raw = shares / shares.sum() * total
+    # each floor exceeds its raw value by less than _EPS, and the raw
+    # values sum to total up to rounding, so base sums to less than
+    # total + 1: it never overshoots, and only a deficit is dealt out
     base = np.floor(raw + _EPS).astype(np.int64)
     deficit = total - int(base.sum())
-    if deficit < 0:
-        # floor epsilon overshot; trim from the largest remainders' complement
-        base[np.lexsort((np.arange(len(base)), raw - base))[:-deficit]] -= 1
-    elif deficit > 0:
-        base[np.lexsort((np.arange(len(base)), -(raw - base)))[:deficit]] += 1
+    base[np.lexsort((np.arange(len(base)), -(raw - base)))[:deficit]] += 1
     return base
 
 

@@ -10,6 +10,7 @@ from fedsim.core import Rng
 from fedsim.data import Dataset, allocate_local_test
 from fedsim.errors import InvalidArgument, PartitionError
 from fedsim.partition import (
+    _EPS,
     PARTITION_KINDS,
     ClientPartition,
     PartitionSpec,
@@ -239,6 +240,38 @@ class TestQuantityDir:
             if max(sizes) / min(sizes) > 5:
                 hits += 1
         assert hits >= 40
+
+
+class TestLargestRemainder:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        near_integers=st.booleans(),
+        size=st.integers(1, 60),
+    )
+    def test_floors_never_sum_above_total(self, data, near_integers, size):
+        # near_integers: shares that are integer counts nudged by up to
+        # 1e-9, with total their sum, so every raw value sits next to an
+        # integer and the epsilon can lift its floor
+        if near_integers:
+            counts = data.draw(st.lists(st.integers(0, 10**4), min_size=size, max_size=size))
+            assume(sum(counts) > 0)
+            nudge = data.draw(st.lists(
+                st.floats(-1e-9, 1e-9), min_size=size, max_size=size,
+            ))
+            shares = np.maximum(np.array(counts, dtype=np.float64) + nudge, 0.0)
+            total = sum(counts)
+        else:
+            shares = np.array(data.draw(st.lists(
+                st.floats(0.0, 1e6, allow_subnormal=False), min_size=size, max_size=size,
+            )))
+            total = data.draw(st.integers(0, 10**6))
+        assume(shares.sum() > 0.0)
+        raw = shares / shares.sum() * total
+        assert int(np.floor(raw + _EPS).astype(np.int64).sum()) <= total
+        got = largest_remainder_counts(shares, total)
+        assert int(got.sum()) == total
+        assert np.all(got >= 0) and np.all(np.abs(got - raw) < 1.0 + _EPS)
 
 
 class TestCrossMechanismInvariants:
