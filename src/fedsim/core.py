@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+
 import numpy as np
 
 from .errors import InvalidArgument, NumericError
