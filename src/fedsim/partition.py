@@ -124,14 +124,16 @@ def _build(train: Dataset, owner: np.ndarray, n: int) -> list[ClientPartition]:
     """Partitions of clients 0..n-1 from the owning client of every train row.
 
     Each client's train indices are a read-only view of one stable
-    argsort by owner, so they are ascending as they are cut. Every
-    mechanism gives each client a row before it calls this.
+    argsort by owner, so they are ascending as they are cut. A client
+    that owns no row is an InvalidArgument, as in ClientPartition.
     """
     rows = np.argsort(owner, kind="stable").astype(np.int64, copy=False)
     rows.setflags(write=False)
     ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
     parts = []
     for cid, (start, end) in enumerate(zip([0, *ends], ends)):
+        if start == end:
+            raise InvalidArgument(f"client {cid} has no train samples")
         idx = rows[start:end]
         parts.append(_normalized(cid, idx, frozenset(np.unique(train.labels[idx]).tolist())))
     return parts

@@ -58,16 +58,10 @@ class TestRng:
         assert len(seen) == 400
 
     @pytest.mark.parametrize("n, count", [(1, 3), (20, 5), (100, 1), (100, 20), (700, 2)])
-    def test_shuffles_read_count_times_n_words(self, n, count):
-        rng, twin = Rng(3, 11), Rng(3, 11)
-        got = rng.shuffles(n, count)
-        words = twin._raw(n * count).reshape(count, n)
+    def test_shuffles_are_count_permutations_of_range_n(self, n, count):
+        got = Rng(3, 11).shuffles(n, count)
         assert got.shape == (count, n)
         assert all(sorted(row) == list(range(n)) for row in got.tolist())
-        # row e lists the positions of the e-th n words in ascending order
-        assert np.all(np.diff(np.take_along_axis(words, got, axis=1), axis=1) > 0)
-        # both streams go on from the same word
-        assert rng.uniform(5).tolist() == twin.uniform(5).tolist()
 
     def test_fresh_stream_refills_only_what_it_asks_for(self):
         # a short substream buffers the words its first request asks for,

@@ -597,13 +597,13 @@ class TestLockStepSweep:
 
         monkeypatch.setattr(experiment, "GROUP_CLIENTS", group_clients)
         calls = []
-        original = Rng.permutation
+        original = Rng.shuffles
 
-        def counting(rng, n):
+        def counting(rng, n, count):
             calls.append(n)
-            return original(rng, n)
+            return original(rng, n, count)
 
-        monkeypatch.setattr(Rng, "permutation", counting)
+        monkeypatch.setattr(Rng, "shuffles", counting)
         text = TINY + "newcomer = true\nsweep.alpha = 0.3\n"
         run_sweep(load_config(write_config(tmp_path, text, name="one.cfg")))
         one = len(calls)

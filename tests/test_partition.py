@@ -216,6 +216,12 @@ class TestRandomShard:
         with pytest.raises(InvalidArgument, match="largest valid shards_per_client is 2"):
             partition_random_shard(ds, 10, 3, Rng(1))
 
+    def test_empty_train_set_leaves_a_client_without_samples(self):
+        # 0 rows divide into any number of shards, each of them empty
+        ds = Dataset(np.zeros((0, 1)), np.zeros(0, dtype=np.int64), 0)
+        with pytest.raises(InvalidArgument, match="client 0 has no train samples"):
+            partition_random_shard(ds, 1, 1, Rng(1))
+
 
 class TestQuantityDir:
     def test_concentration_limit_near_equal(self, ten_class_data):
